@@ -11,10 +11,10 @@
     propagate over the whole graph.
 
     Function names carry a seeded random hex prefix: [Mir.body_list]
-    iterates bodies in [fn_id] order, so the prefix decorrelates the
-    legacy replay fixpoint's iteration order from the call direction —
-    the worst case its whole-program rounds were built for, and
-    exactly what the SCC-condensed bottom-up schedule is immune to.
+    iterates bodies in [fn_id] order, so the prefix decorrelates a
+    whole-program round-robin fixpoint's iteration order from the call
+    direction — its worst case, and exactly what the SCC-condensed
+    bottom-up schedule is immune to.
     All randomness flows from the explicit seed (splitmix64), so every
     program is reproducible from [(shape, n, seed)]. *)
 
@@ -61,10 +61,10 @@ let program ~seed ~shape ~n : string =
        shape has one too) acquire the lock and dereference the
        pointer: every other function learns both facts purely through
        its callees' summaries, which is what makes propagation depth —
-       the thing the bottom-up schedule collapses and the replay
+       the thing the bottom-up schedule collapses and whole-program
        rounds pay for — proportional to program size. Facts are kept
        off the interior on purpose; direct sources sprinkled along the
-       way would let replay converge in a handful of rounds and
+       way would let such rounds converge in a handful of passes and
        measure nothing. *)
     let source = callees = [] || i = n - 1 in
     Buffer.add_string buf

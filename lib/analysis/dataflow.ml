@@ -22,8 +22,8 @@ module type DOMAIN = sig
 end
 
 (* Cumulative block-transfer counter across all [run]s in the process
-   (instrumentation: the kernel tests compare RPO vs FIFO pass counts,
-   the benches report convergence cost). *)
+   (instrumentation: the kernel tests and benches report convergence
+   cost). *)
 let transfers_counter = Atomic.make 0
 let transfers () = Atomic.get transfers_counter
 
@@ -191,12 +191,9 @@ module Make (D : DOMAIN) = struct
     transfer_term state blk.Mir.term
 
   (** Run to fixpoint. [init] is the state at the function entry.
-      [order] selects the worklist discipline: [`Rpo] (default) seeds
-      reachable blocks in reverse postorder and always pops the
-      pending block with the smallest RPO index; [`Fifo] is the legacy
-      seed-everything FIFO, kept for differential tests. Both reach
-      the same fixpoint on reachable blocks. *)
-  let run ?(order = `Rpo) (body : Mir.body) ~(init : D.t)
+      Reachable blocks are seeded in reverse postorder and the pending
+      block with the smallest RPO index is always popped next. *)
+  let run (body : Mir.body) ~(init : D.t)
       ~(transfer_stmt : D.t -> Mir.stmt -> D.t)
       ~(transfer_term : D.t -> Mir.terminator -> D.t) : result =
     let n = Array.length body.Mir.blocks in
@@ -240,78 +237,51 @@ module Make (D : DOMAIN) = struct
           true
         end
       in
-      let converged =
-        match order with
-        | `Fifo ->
-            (* legacy discipline: every block seeded, FIFO order *)
-            let in_worklist = Array.make n true in
-            let worklist = Queue.create () in
-            for i = 0 to n - 1 do
-              Queue.add i worklist
-            done;
-            while
-              (not (Queue.is_empty worklist))
-              && Support.Fuel.burn fuel
-              && not (Support.Deadline.expired dl)
-            do
-              let i = Queue.pop worklist in
-              in_worklist.(i) <- false;
-              if process i then
-                Array.iter
-                  (fun s ->
-                    if not in_worklist.(s) then begin
-                      in_worklist.(s) <- true;
-                      Queue.add s worklist
-                    end)
-                  succs.(i)
-            done;
-            Queue.is_empty worklist
-        | `Rpo ->
-            let nr = Array.length order_of in
-            let prio = cfg.Mir.cfg_prio in
-            (* pending priorities as a bit matrix; pop = lowest set bit *)
-            let nwords = (nr + Support.Bitset.word_bits - 1)
-                         / Support.Bitset.word_bits in
-            let pending = Array.make (max nwords 1) 0 in
-            let n_pending = ref nr in
-            for p = 0 to nr - 1 do
-              let w = p / Support.Bitset.word_bits in
-              pending.(w) <-
-                pending.(w) lor (1 lsl (p mod Support.Bitset.word_bits))
-            done;
-            let push p =
-              let w = p / Support.Bitset.word_bits in
-              let bit = 1 lsl (p mod Support.Bitset.word_bits) in
-              if pending.(w) land bit = 0 then begin
-                pending.(w) <- pending.(w) lor bit;
-                incr n_pending
-              end
-            in
-            let pop () =
-              (* lowest pending priority; caller guarantees non-empty *)
-              let w = ref 0 in
-              while pending.(!w) = 0 do
-                incr w
-              done;
-              let bits = pending.(!w) in
-              let b = Support.Bitset.ntz bits in
-              pending.(!w) <- bits land (bits - 1);
-              decr n_pending;
-              (!w * Support.Bitset.word_bits) + b
-            in
-            while
-              !n_pending > 0
-              && Support.Fuel.burn fuel
-              && not (Support.Deadline.expired dl)
-            do
-              let i = order_of.(pop ()) in
-              if process i then
-                Array.iter
-                  (fun s -> if prio.(s) >= 0 then push prio.(s))
-                  succs.(i)
-            done;
-            !n_pending = 0
+      let nr = Array.length order_of in
+      let prio = cfg.Mir.cfg_prio in
+      (* pending priorities as a bit matrix; pop = lowest set bit *)
+      let nwords =
+        (nr + Support.Bitset.word_bits - 1) / Support.Bitset.word_bits
       in
+      let pending = Array.make (max nwords 1) 0 in
+      let n_pending = ref nr in
+      for p = 0 to nr - 1 do
+        let w = p / Support.Bitset.word_bits in
+        pending.(w) <-
+          pending.(w) lor (1 lsl (p mod Support.Bitset.word_bits))
+      done;
+      let push p =
+        let w = p / Support.Bitset.word_bits in
+        let bit = 1 lsl (p mod Support.Bitset.word_bits) in
+        if pending.(w) land bit = 0 then begin
+          pending.(w) <- pending.(w) lor bit;
+          incr n_pending
+        end
+      in
+      let pop () =
+        (* lowest pending priority; caller guarantees non-empty *)
+        let w = ref 0 in
+        while pending.(!w) = 0 do
+          incr w
+        done;
+        let bits = pending.(!w) in
+        let b = Support.Bitset.ntz bits in
+        pending.(!w) <- bits land (bits - 1);
+        decr n_pending;
+        (!w * Support.Bitset.word_bits) + b
+      in
+      while
+        !n_pending > 0
+        && Support.Fuel.burn fuel
+        && not (Support.Deadline.expired dl)
+      do
+        let i = order_of.(pop ()) in
+        if process i then
+          Array.iter
+            (fun s -> if prio.(s) >= 0 then push prio.(s))
+            succs.(i)
+      done;
+      let converged = !n_pending = 0 in
       Atomic.fetch_and_add transfers_counter !passes |> ignore;
       let deadline_hit = (not converged) && Support.Deadline.hit dl in
       record_run ~passes:!passes ~converged ~deadline_hit;
@@ -337,13 +307,31 @@ module Make (D : DOMAIN) = struct
       body.Mir.blocks
 end
 
+(** Integer-set domain used by most analyses (sets of locals or
+    acquisition ids). Since the bitset kernels landed this *is*
+    [Support.Bitset] — dense int-array sets with word-wise joins — but
+    the historical [IntSet]/[IntSetFlow] names remain the public API. *)
+module IntSet = Support.Bitset
+
+module BitsetDomain = struct
+  type t = Support.Bitset.t
+
+  let equal = Support.Bitset.equal
+  let join = Support.Bitset.union
+  let bottom = Support.Bitset.empty
+end
+
+module IntSetDomain = BitsetDomain
+module BitsetFlow = Make (BitsetDomain)
+module IntSetFlow = BitsetFlow
+
 (** Specialized engine for int-set domains whose ids all fit one
     machine word (< [Support.Bitset.word_bits], i.e. sets of locals or
     acquisition ids in any realistic body): the state is an unboxed
     [int], so join/equal/transfer allocate nothing at all. Same RPO
     priority worklist, fuel discipline and unreachable-block behavior
-    as [Make]; clients lift entry/exit words back into [Support.Bitset]
-    values with [Support.Bitset.of_word]. *)
+    as [Make]; clients lift a result back into bitsets with
+    {!Word.to_flow}. *)
 module Word = struct
   type result = {
     entry : int array;
@@ -434,22 +422,17 @@ module Word = struct
       record_run ~passes:!passes ~converged ~deadline_hit;
       { entry; exit_; converged; deadline_hit; passes = !passes; reachable }
     end
+
+  (** The same result with every entry/exit word lifted into a
+      [Support.Bitset], for clients that run this kernel when ids fit
+      one word and {!IntSetFlow} otherwise. *)
+  let to_flow (w : result) : IntSetFlow.result =
+    {
+      IntSetFlow.entry = Array.map Support.Bitset.of_word w.entry;
+      exit_ = Array.map Support.Bitset.of_word w.exit_;
+      converged = w.converged;
+      deadline_hit = w.deadline_hit;
+      passes = w.passes;
+      reachable = w.reachable;
+    }
 end
-
-(** Integer-set domain used by most analyses (sets of locals or
-    acquisition ids). Since the bitset kernels landed this *is*
-    [Support.Bitset] — dense int-array sets with word-wise joins — but
-    the historical [IntSet]/[IntSetFlow] names remain the public API. *)
-module IntSet = Support.Bitset
-
-module BitsetDomain = struct
-  type t = Support.Bitset.t
-
-  let equal = Support.Bitset.equal
-  let join = Support.Bitset.union
-  let bottom = Support.Bitset.empty
-end
-
-module IntSetDomain = BitsetDomain
-module BitsetFlow = Make (BitsetDomain)
-module IntSetFlow = BitsetFlow

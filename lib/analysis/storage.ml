@@ -61,18 +61,9 @@ let analyze (body : Mir.body) : Flow.result =
   if Array.length body.Mir.locals <= Support.Bitset.word_bits then begin
     (* every local id fits one machine word: run the zero-allocation
        kernel and lift the per-block words back into bitsets *)
-    let w =
-      Dataflow.Word.run body ~init:0 ~transfer_stmt:word_stmt
-        ~transfer_term:word_term
-    in
-    {
-      Flow.entry = Array.map Support.Bitset.of_word w.Dataflow.Word.entry;
-      exit_ = Array.map Support.Bitset.of_word w.Dataflow.Word.exit_;
-      converged = w.Dataflow.Word.converged;
-      deadline_hit = w.Dataflow.Word.deadline_hit;
-      passes = w.Dataflow.Word.passes;
-      reachable = w.Dataflow.Word.reachable;
-    }
+    Dataflow.Word.to_flow
+      (Dataflow.Word.run body ~init:0 ~transfer_stmt:word_stmt
+         ~transfer_term:word_term)
   end
   else Flow.run body ~init:IntSet.empty ~transfer_stmt ~transfer_term
 

@@ -6,9 +6,7 @@
     Accesses in Rust"): callees are summarised before their callers, so
     a call site instantiates the callee's finished summary instead of
     re-entering its body, and fixpoint iteration only ever runs inside
-    a non-trivial SCC (mutual recursion). Independent SCCs in the same
-    topological wave can be analysed in parallel across
-    {!Support.Domain_pool}.
+    a non-trivial SCC (mutual recursion).
 
     Detectors plug in as {!client}s: a summary recompute function, an
     equality for convergence, and a content-address key. For programs
@@ -20,26 +18,6 @@
 
 open Ir
 module IntSet = Dataflow.IntSet
-
-(* ------------------------------------------------------------------ *)
-(* Mode selection: the summary engine vs the legacy replay fixpoint     *)
-(* ------------------------------------------------------------------ *)
-
-type mode = Summary | Replay
-
-let mode_name = function Summary -> "summary" | Replay -> "replay"
-
-let mode_of_string = function
-  | "summary" -> Some Summary
-  | "replay" -> Some Replay
-  | _ -> None
-
-(* Process default, settable from the CLI (--interproc=replay); the
-   detectors' [?mode] argument overrides it per call. *)
-let default_mode_cell = Atomic.make Summary
-let default_mode () = Atomic.get default_mode_cell
-let set_default_mode m = Atomic.set default_mode_cell m
-let resolve_mode = function Some m -> m | None -> default_mode ()
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -91,10 +69,6 @@ module Scc = struct
         (** component ids in reverse-topological order: every
             component appears after all components it has edges into
             (callees before callers) *)
-    waves : int array array;
-        (** [order] partitioned into levels: wave [w] components only
-            have edges into waves [< w], so the members of one wave are
-            independent of each other *)
     has_cycle : bool array;
         (** component id -> more than one member, or a self-loop *)
   }
@@ -190,34 +164,7 @@ module Scc = struct
     (* Components were emitted callees-first, so ids ascend in
        reverse-topological order already. *)
     let order = Array.init count (fun i -> i) in
-    (* Wave levels: level c = 1 + max level of the components c calls
-       into. Processing components in id order sees every callee
-       component (smaller id) finished. *)
-    let level = Array.make count 0 in
-    for c = 0 to count - 1 do
-      Array.iter
-        (fun v ->
-          Array.iter
-            (fun w ->
-              let cw = comp_of.(w) in
-              if cw <> c && level.(cw) + 1 > level.(c) then
-                level.(c) <- level.(cw) + 1)
-            succs.(v))
-        members.(c)
-    done;
-    let nwaves =
-      Array.fold_left (fun acc l -> max acc (l + 1)) (min count 1) level
-    in
-    let sizes = Array.make nwaves 0 in
-    Array.iter (fun l -> sizes.(l) <- sizes.(l) + 1) level;
-    let waves = Array.map (fun s -> Array.make s 0) sizes in
-    let cursor = Array.make nwaves 0 in
-    for c = 0 to count - 1 do
-      let l = level.(c) in
-      waves.(l).(cursor.(l)) <- c;
-      cursor.(l) <- cursor.(l) + 1
-    done;
-    { count; comp_of; members; order; waves; has_cycle }
+    { count; comp_of; members; order; has_cycle }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -233,8 +180,7 @@ let callee_fn_id = function
 (* Summary dependencies are exactly the call sites the detectors
    instantiate summaries at: direct calls whose callee names a body of
    this program. (Builtins have no summaries; spawn/once closure edges
-   are invoked through builtins and stay out, matching the replay-mode
-   semantics.) *)
+   are invoked through builtins and stay out.) *)
 let dep_succs (bodies : Mir.body array) : int array array =
   let ix_of = Hashtbl.create (Array.length bodies * 2) in
   Array.iteri
@@ -338,26 +284,18 @@ type 'a client = {
           every client must read as the bottom summary) *)
 }
 
-(* Cap on chaotic-iteration rounds inside one SCC, mirroring the replay
-   fixpoint's global round cap: a recursive cycle that keeps growing a
-   summary (e.g. a lock path gaining a field per round) truncates
-   instead of diverging. DAG portions never iterate at all. *)
+(* Cap on chaotic-iteration rounds inside one SCC: a recursive cycle
+   that keeps growing a summary (e.g. a lock path gaining a field per
+   round) truncates instead of diverging. DAG portions never iterate at
+   all. *)
 let scc_round_cap = 8
-
-(* Summary parallelism is opt-in per call ([?domains]) or via this
-   process default: the corpus sweep already parallelises across
-   entries, and nesting domain pools there would oversubscribe. *)
-let default_domains_cell = Atomic.make 1
-let engine_domains () = Atomic.get default_domains_cell
-let set_engine_domains n = Atomic.set default_domains_cell (max 1 n)
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let compute ?domains ?(force_store = false) (ctx : Cache.t)
-    (client : 'a client) : (string, 'a) Hashtbl.t =
-  let domains = match domains with Some d -> d | None -> engine_domains () in
+let compute ?(force_store = false) (ctx : Cache.t) (client : 'a client) :
+    (string, 'a) Hashtbl.t =
   let bodies = Array.of_list (Mir.body_list (Cache.program ctx)) in
   let n = Array.length bodies in
   let tbl : (string, 'a) Hashtbl.t = Hashtbl.create (max 16 (2 * n)) in
@@ -458,74 +396,29 @@ let compute ?domains ?(force_store = false) (ctx : Cache.t)
     in
     (* Serve one component: store lookup (when engaged), recompute on
        miss, publish the member summaries into [tbl]. *)
-    let finish_scc c vs from_store =
-      if from_store then note_cache_hits client.name (Array.length vs)
-      else if use_store then Cache.summary_add client.skey scc_keys.(c) vs;
+    let serve_scc c =
+      let vs =
+        if not use_store then compute_scc c
+        else begin
+          scc_keys.(c) <- key_of_scc c;
+          match Cache.summary_find client.skey scc_keys.(c) with
+          | Some vs ->
+              note_cache_hits client.name (Array.length vs);
+              vs
+          | None ->
+              let vs = compute_scc c in
+              Cache.summary_add client.skey scc_keys.(c) vs;
+              vs
+        end
+      in
       Array.iteri
         (fun i v ->
           Hashtbl.replace tbl bodies.(scc.Scc.members.(c).(i)).Mir.fn_id v)
         vs
     in
-    let serve_scc c =
-      if use_store then begin
-        scc_keys.(c) <- key_of_scc c;
-        match Cache.summary_find client.skey scc_keys.(c) with
-        | Some vs -> finish_scc c vs true
-        | None -> finish_scc c (compute_scc c) false
-      end
-      else finish_scc c (compute_scc c) false
-    in
-    if domains > 1 || Support.Trace.enabled () then begin
-      (* Wave-at-a-time schedule: one [summary.scc_wave] span per
-         topological level, in-wave components fanned across the
-         domain pool. *)
-      let expired = ref false in
-      Array.iteri
-        (fun wl wave ->
-          if not !expired then
-            if Support.Deadline.expired dl then begin
-              expired := true;
-              give_up wave.(0)
-            end
-            else
-              Support.Trace.with_span ~cat:"summary"
-                ~args:
-                  [
-                    ("analysis", client.name);
-                    ("wave", string_of_int wl);
-                    ("sccs", string_of_int (Array.length wave));
-                  ]
-                "summary.scc_wave"
-                (fun () ->
-                  if domains > 1 && Array.length wave > 1 then begin
-                    if use_store then
-                      Array.iter (fun c -> scc_keys.(c) <- key_of_scc c) wave;
-                    (* [`work`] only reads [tbl] (earlier waves) and the
-                       mutex-guarded store, so in-wave components can
-                       run on the pool; insertion back into [tbl] stays
-                       sequential and in component order either way. *)
-                    let work c =
-                      if use_store then
-                        match Cache.summary_find client.skey scc_keys.(c) with
-                        | Some vs -> (c, vs, true)
-                        | None -> (c, compute_scc c, false)
-                      else (c, compute_scc c, false)
-                    in
-                    List.iter
-                      (fun (c, vs, from_store) -> finish_scc c vs from_store)
-                      (Support.Domain_pool.map ~domains ~chunk:1 ~f:work
-                         (Array.to_list wave))
-                  end
-                  else Array.iter serve_scc wave))
-        scc.Scc.waves
-    end
-    else begin
-      (* Sequential untraced runs skip the per-wave machinery and walk
-         the components in reverse-topological order directly — the
-         corpus is dominated by sub-ten-function programs, where span
-         argument and wave bookkeeping allocations would rival the
-         analysis itself. Same schedule, same results: the wave
-         partition only exists to expose parallelism. *)
+    (* Walk the components in reverse-topological order: every callee
+       component is finished before its callers are served. *)
+    let walk () =
       let order = scc.Scc.order in
       let i = ref 0 in
       let stop = ref false in
@@ -540,7 +433,20 @@ let compute ?domains ?(force_store = false) (ctx : Cache.t)
           incr i
         end
       done
-    end;
+    in
+    (* span arguments are built only when tracing is on: the corpus is
+       dominated by sub-ten-function programs, where they would rival
+       the analysis itself *)
+    if Support.Trace.enabled () then
+      Support.Trace.with_span ~cat:"summary"
+        ~args:
+          [
+            ("analysis", client.name);
+            ("functions", string_of_int n);
+            ("sccs", string_of_int scc.Scc.count);
+          ]
+        "summary.compute" walk
+    else walk ();
     tbl
   end
 
@@ -650,6 +556,6 @@ let escape_client ctx : escape client =
     compute = (fun ~lookup body -> escape_of_body ~lookup ctx body);
   }
 
-let escape_summaries ?domains (ctx : Cache.t) : (string, escape) Hashtbl.t =
+let escape_summaries (ctx : Cache.t) : (string, escape) Hashtbl.t =
   Cache.ext_program ctx escape_tbl_key ~compute:(fun () ->
-      compute ?domains ctx (escape_client ctx))
+      compute ctx (escape_client ctx))

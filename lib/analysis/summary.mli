@@ -3,34 +3,16 @@
     Per-function summaries are computed bottom-up over the
     SCC-condensed function-call graph: callees before callers, fixpoint
     iteration only inside non-trivial SCCs, call sites instantiating
-    finished callee summaries instead of re-entering bodies.
-    Independent SCCs in the same topological wave can run in parallel
-    across {!Support.Domain_pool}, and finished summaries are stored
-    content-addressed in {!Cache} (keyed by a Merkle digest of the
-    function body, its transitive callees and the client config) so
-    edits invalidate function-granularly.
+    finished callee summaries instead of re-entering bodies. Finished
+    summaries are stored content-addressed in {!Cache} (keyed by a
+    Merkle digest of the function body, its transitive callees and the
+    client config) so edits invalidate function-granularly.
 
     The double-lock and use-after-free detectors plug in as
-    {!client}s; their legacy whole-program fixpoint survives as
-    {!Replay} mode for differential testing ([--interproc=replay]). *)
+    {!client}s. Their findings over the corpus and its fault mutants
+    are pinned, in emission order, by [test/golden_interproc.txt]. *)
 
 open Ir
-
-(** {1 Mode selection} *)
-
-type mode =
-  | Summary  (** the compositional engine (default) *)
-  | Replay  (** the legacy whole-program chaotic fixpoint *)
-
-val mode_name : mode -> string
-val mode_of_string : string -> mode option
-
-val default_mode : unit -> mode
-(** The process-wide default consulted when a detector's [?mode]
-    argument is omitted. *)
-
-val set_default_mode : mode -> unit
-val resolve_mode : mode option -> mode
 
 (** {1 SCC condensation} *)
 
@@ -43,10 +25,6 @@ module Scc : sig
     order : int array;
         (** component ids in reverse-topological (callee-first) order;
             deterministic for a given graph *)
-    waves : int array array;
-        (** [order] partitioned into levels: wave [w] components only
-            have edges into waves [< w], so one wave's components are
-            independent of each other *)
     has_cycle : bool array;
         (** component id -> more than one member, or a self-loop *)
   }
@@ -76,18 +54,14 @@ type 'a client = {
 }
 
 val compute :
-  ?domains:int ->
-  ?force_store:bool ->
-  Cache.t ->
-  'a client ->
-  (string, 'a) Hashtbl.t
+  ?force_store:bool -> Cache.t -> 'a client -> (string, 'a) Hashtbl.t
 (** Bottom-up summaries for every function of the program, keyed by
-    [fn_id]. [?domains] (default {!engine_domains}) > 1 analyses
-    independent SCCs of each wave on a domain pool. [?force_store]
-    engages the content-addressed store regardless of
-    {!store_min_bodies}. Deadline-aware: on expiry the remaining waves
-    are skipped (absent summaries under-approximate) and a W0402 is
-    attached to the context. *)
+    [fn_id], one component at a time in reverse-topological order.
+    [?force_store] engages the content-addressed store regardless of
+    {!store_min_bodies}. Deadline-aware: on expiry the remaining
+    components are skipped (absent summaries under-approximate) and a
+    W0402 is attached to the context. While tracing is on, each call
+    records one [summary.compute] span. *)
 
 val body_digest : Mir.body -> string
 (** Content digest of one body (text, types, CFG and spans). *)
@@ -98,13 +72,6 @@ val store_min_bodies : unit -> int
     the summaries (default 24). *)
 
 val set_store_min_bodies : int -> unit
-
-val engine_domains : unit -> int
-(** Default [?domains] for {!compute} (default 1: the corpus sweep
-    already parallelises across entries, and nesting pools there would
-    oversubscribe). *)
-
-val set_engine_domains : int -> unit
 
 val note_instantiated : ?n:int -> string -> unit
 (** Record [n] callee-summary instantiations for
@@ -125,7 +92,6 @@ type escape = {
 
 val escape_equal : escape -> escape -> bool
 
-val escape_summaries :
-  ?domains:int -> Cache.t -> (string, escape) Hashtbl.t
+val escape_summaries : Cache.t -> (string, escape) Hashtbl.t
 (** Escape/return summaries for every function, computed through the
     engine and memoised in the context. *)

@@ -231,19 +231,9 @@ let held_analysis (body : Mir.body) (locks : body_locks) : Flow.result =
           if a >= 0 then state lor (1 lsl a) else state
       | _ -> state
     in
-    let w =
-      Analysis.Dataflow.Word.run body ~init:0 ~transfer_stmt:word_stmt
-        ~transfer_term:word_term
-    in
-    {
-      Flow.entry =
-        Array.map Support.Bitset.of_word w.Analysis.Dataflow.Word.entry;
-      exit_ = Array.map Support.Bitset.of_word w.Analysis.Dataflow.Word.exit_;
-      converged = w.Analysis.Dataflow.Word.converged;
-      deadline_hit = w.Analysis.Dataflow.Word.deadline_hit;
-      passes = w.Analysis.Dataflow.Word.passes;
-      reachable = w.Analysis.Dataflow.Word.reachable;
-    }
+    Analysis.Dataflow.Word.to_flow
+      (Analysis.Dataflow.Word.run body ~init:0 ~transfer_stmt:word_stmt
+         ~transfer_term:word_term)
   end
   else begin
     let transfer_stmt state (s : Mir.stmt) =
@@ -360,8 +350,7 @@ let calls_of (ctx : Analysis.Cache.t) (body : Mir.body) :
    engine walking them — can grow combinatorially. Every function keeps
    its first [summary_cap] exportable entries; real programs sit far
    below it (the whole corpus stays under a handful per function), so
-   the cap only bites on adversarial call graphs. Shared by both
-   interprocedural modes, keeping their findings aligned. *)
+   the cap only bites on adversarial call graphs. *)
 let summary_cap = 32
 
 let rec take k = function
@@ -369,11 +358,10 @@ let rec take k = function
   | _ -> []
 
 (* Recompute one function's summary from its own acquisitions plus its
-   callees' current summaries. Both interprocedural modes — the legacy
-   whole-program fixpoint and the SCC-scheduled engine — share this, so
-   at a converged fixpoint they produce entry lists in the same order
-   and the detection pass reports byte-identical findings. [lookup]
-   returning [None] or [Some []] both mean "callee adds nothing". *)
+   callees' current summaries, in a fixed order, so every converged
+   list — and hence every finding — comes out the same way on every
+   run. [lookup] returning [None] or [Some []] both mean "callee adds
+   nothing". *)
 let summary_of_body ~(lookup : string -> summary_entry list option)
     (ctx : Analysis.Cache.t) (body : Mir.body) : summary_entry list =
   let locks = fst (locks_of ctx body) in
@@ -399,46 +387,14 @@ let summary_of_body ~(lookup : string -> summary_entry list option)
   take summary_cap (List.filter exportable (direct @ from_calls))
 
 (* No acquisition anywhere: every summary is empty, and an absent entry
-   reads the same as an empty one — both modes skip the call-site
-   resolution and the fixpoint entirely. *)
+   reads the same as an empty one — skip the call-site resolution and
+   the engine entirely. *)
 let lock_free (ctx : Analysis.Cache.t) (bodies : Mir.body list) : bool =
   List.for_all
     (fun (b : Mir.body) ->
       Hashtbl.length (fst (locks_of ctx b)).acquisitions = 0)
     bodies
 
-(* Replay mode: the legacy whole-program chaotic fixpoint, kept behind
-   [--interproc=replay] for differential testing. Iterates every body
-   per round in [fn_id] order with a global round cap — propagation
-   depth depends on how the iteration order aligns with call direction,
-   which is what the summary engine's bottom-up schedule fixes. *)
-let compute_summaries (ctx : Analysis.Cache.t) : summaries =
-  let tbl : summaries = Hashtbl.create 16 in
-  let bodies = Mir.body_list (Analysis.Cache.program ctx) in
-  if lock_free ctx bodies then tbl
-  else begin
-    List.iter
-      (fun (b : Mir.body) -> Hashtbl.replace tbl b.Mir.fn_id [])
-      bodies;
-    let changed = ref true in
-    let rounds = ref 0 in
-    while !changed && !rounds < 5 do
-      incr rounds;
-      changed := false;
-      List.iter
-        (fun (b : Mir.body) ->
-          let all = summary_of_body ~lookup:(Hashtbl.find_opt tbl) ctx b in
-          let cur = Hashtbl.find tbl b.Mir.fn_id in
-          if List.length all <> List.length cur then begin
-            Hashtbl.replace tbl b.Mir.fn_id all;
-            changed := true
-          end)
-        bodies
-    done;
-    tbl
-  end
-
-(* Summary mode: the SCC-scheduled bottom-up engine. *)
 let summary_skey : summary_entry list array Analysis.Cache.Ext.key =
   Analysis.Cache.Ext.create ()
 
@@ -450,17 +406,19 @@ let summary_client ctx : summary_entry list Analysis.Summary.client =
     Analysis.Summary.name = "double_lock";
     params = "";
     skey = summary_skey;
-    (* the replay fixpoint detects change by length; a converged list
-       can only differ in length, so the engine matches it *)
+    (* inside a recursive SCC a member's list only grows from round to
+       round (callee entries are added, never removed) until
+       [summary_cap] truncates it, so an unchanged length means no new
+       entry arrived: the list is the same, or pinned at the cap *)
     equal = (fun a b -> List.length a = List.length b);
     compute = (fun ~lookup body -> summary_of_body ~lookup ctx body);
   }
 
-let engine_summaries ?domains (ctx : Analysis.Cache.t) : summaries =
+let engine_summaries (ctx : Analysis.Cache.t) : summaries =
   Analysis.Cache.ext_program ctx summary_tbl_key ~compute:(fun () ->
       let bodies = Mir.body_list (Analysis.Cache.program ctx) in
       if lock_free ctx bodies then Hashtbl.create 1
-      else Analysis.Summary.compute ?domains ctx (summary_client ctx))
+      else Analysis.Summary.compute ctx (summary_client ctx))
 
 (* ------------------------------------------------------------------ *)
 (* Detection                                                           *)
@@ -573,24 +531,18 @@ let check_body (ctx : Analysis.Cache.t) (summaries : summaries)
 
 (** Run the double-lock detector with a shared analysis context.
     [interprocedural:false] ablates the cross-function summaries
-    (intraprocedural double locks are still found); [?mode] picks the
-    summary engine vs the legacy replay fixpoint (defaults to
-    [Analysis.Summary.default_mode ()]). *)
-let run_ctx ?(interprocedural = true) ?mode (ctx : Analysis.Cache.t) :
+    (intraprocedural double locks are still found). *)
+let run_ctx ?(interprocedural = true) (ctx : Analysis.Cache.t) :
     Report.finding list =
   let summaries =
-    if not interprocedural then Hashtbl.create 1
-    else
-      match Analysis.Summary.resolve_mode mode with
-      | Analysis.Summary.Summary -> engine_summaries ctx
-      | Analysis.Summary.Replay -> compute_summaries ctx
+    if interprocedural then engine_summaries ctx else Hashtbl.create 1
   in
   List.concat_map (check_body ctx summaries)
     (Mir.body_list (Analysis.Cache.program ctx))
 
 (** Run the double-lock detector over a whole program. *)
-let run ?interprocedural ?mode (program : Mir.program) : Report.finding list =
-  run_ctx ?interprocedural ?mode (Analysis.Cache.create program)
+let run ?interprocedural (program : Mir.program) : Report.finding list =
+  run_ctx ?interprocedural (Analysis.Cache.create program)
 
 (** Exposed for the lock-order detector: per-body acquisition-order
     pairs (held root, newly acquired root) with spans. *)

@@ -6,7 +6,8 @@
     unlock), and reports a second conflicting acquisition of the same
     lock — identified by its access path — while a guard is alive.
     Cross-function double locks are found through lock-acquisition
-    summaries substituted at call sites. *)
+    summaries, computed bottom-up over the SCC-condensed call graph by
+    {!Analysis.Summary} and substituted at call sites. *)
 
 open Ir
 
@@ -48,22 +49,12 @@ val locks_of :
     detectors. *)
 
 val run_ctx :
-  ?interprocedural:bool ->
-  ?mode:Analysis.Summary.mode ->
-  Analysis.Cache.t ->
-  Report.finding list
+  ?interprocedural:bool -> Analysis.Cache.t -> Report.finding list
 (** Run the detector with a shared analysis context.
     [interprocedural:false] (default [true]) ablates the cross-function
-    summaries; [?mode] (default [Analysis.Summary.default_mode ()])
-    picks the SCC-scheduled summary engine vs the legacy whole-program
-    replay fixpoint — their findings agree at convergence, and the
-    differential suite holds them byte-identical over the corpus. *)
+    summaries. *)
 
-val run :
-  ?interprocedural:bool ->
-  ?mode:Analysis.Summary.mode ->
-  Mir.program ->
-  Report.finding list
+val run : ?interprocedural:bool -> Mir.program -> Report.finding list
 (** Run the detector (private context). *)
 
 val order_pairs :

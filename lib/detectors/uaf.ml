@@ -159,11 +159,10 @@ let derefs_of ~assume_extern_derefs (ctx : Analysis.Cache.t) (body : Mir.body)
       direct_derefs ~assume_extern_derefs (lazy (Analysis.Cache.aliases ctx b)) b)
 
 (* Recompute one function's deref-parameter set from its direct derefs
-   plus its callees' current summaries. Shared by the legacy replay
-   fixpoint and the SCC-scheduled engine: the transfer is monotone with
-   a unique least fixpoint, so both modes converge to the same sets.
-   [lookup] returning [None] means "no parameter dereferenced" (bottom),
-   matching the replay table's membership test. *)
+   plus its callees' current summaries. The transfer is monotone with a
+   unique least fixpoint, which the engine reaches by iterating inside
+   each recursive SCC. [lookup] returning [None] means "no parameter
+   dereferenced" (bottom). *)
 let summary_of_body ~assume_extern_derefs
     ~(lookup : string -> IntSet.t option) (ctx : Analysis.Cache.t)
     (body : Mir.body) : IntSet.t =
@@ -175,36 +174,7 @@ let summary_of_body ~assume_extern_derefs
       | _ -> acc)
     direct oblig
 
-(* Replay mode: the legacy whole-program fixpoint, kept behind
-   [--interproc=replay] for differential testing. *)
-let compute_summaries ?(assume_extern_derefs = true) (ctx : Analysis.Cache.t)
-    : summaries =
-  let tbl : summaries = Hashtbl.create 16 in
-  let bodies = Mir.body_list (Analysis.Cache.program ctx) in
-  List.iter
-    (fun (b : Mir.body) ->
-      Hashtbl.replace tbl b.Mir.fn_id
-        (fst (derefs_of ~assume_extern_derefs ctx b)))
-    bodies;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (b : Mir.body) ->
-        let cur = Hashtbl.find tbl b.Mir.fn_id in
-        let next =
-          summary_of_body ~assume_extern_derefs
-            ~lookup:(Hashtbl.find_opt tbl) ctx b
-        in
-        if not (IntSet.equal cur next) then begin
-          Hashtbl.replace tbl b.Mir.fn_id next;
-          changed := true
-        end)
-      bodies
-  done;
-  tbl
-
-(* Summary mode: the SCC-scheduled bottom-up engine, one store slot per
+(* The SCC-scheduled bottom-up engine, one store slot per
    extern-assumption flag (the flag changes the summaries, so it is
    both a distinct typed key and part of the content address). *)
 let summary_skey_extern : IntSet.t array Analysis.Cache.Ext.key =
@@ -233,14 +203,14 @@ let summary_client ~assume_extern_derefs ctx : IntSet.t Analysis.Summary.client
         summary_of_body ~assume_extern_derefs ~lookup ctx body);
   }
 
-let engine_summaries ?domains ~assume_extern_derefs (ctx : Analysis.Cache.t) :
+let engine_summaries ~assume_extern_derefs (ctx : Analysis.Cache.t) :
     summaries =
   let tbl_key =
     if assume_extern_derefs then summary_tbl_key_extern
     else summary_tbl_key_no_extern
   in
   Analysis.Cache.ext_program ctx tbl_key ~compute:(fun () ->
-      Analysis.Summary.compute ?domains ctx
+      Analysis.Summary.compute ctx
         (summary_client ~assume_extern_derefs ctx))
 
 (* ------------------------------------------------------------------ *)
@@ -510,22 +480,14 @@ let check_body ?(assume_extern_derefs = true) (ctx : Analysis.Cache.t)
   !findings
   end
 
-(** Run the use-after-free detector with a shared analysis context.
-    [?mode] picks the SCC-scheduled summary engine vs the legacy replay
-    fixpoint (defaults to [Analysis.Summary.default_mode ()]); both
-    converge to the same least fixpoint, so the findings agree. *)
-let run_ctx ?(assume_extern_derefs = true) ?mode (ctx : Analysis.Cache.t) :
+(** Run the use-after-free detector with a shared analysis context. *)
+let run_ctx ?(assume_extern_derefs = true) (ctx : Analysis.Cache.t) :
     Report.finding list =
-  let summaries =
-    match Analysis.Summary.resolve_mode mode with
-    | Analysis.Summary.Summary -> engine_summaries ~assume_extern_derefs ctx
-    | Analysis.Summary.Replay -> compute_summaries ~assume_extern_derefs ctx
-  in
+  let summaries = engine_summaries ~assume_extern_derefs ctx in
   List.concat_map
     (check_body ~assume_extern_derefs ctx summaries)
     (Mir.body_list (Analysis.Cache.program ctx))
 
 (** Run the use-after-free detector over a whole program. *)
-let run ?assume_extern_derefs ?mode (program : Mir.program) :
-    Report.finding list =
-  run_ctx ?assume_extern_derefs ?mode (Analysis.Cache.create program)
+let run ?assume_extern_derefs (program : Mir.program) : Report.finding list =
+  run_ctx ?assume_extern_derefs (Analysis.Cache.create program)

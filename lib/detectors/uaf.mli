@@ -4,44 +4,19 @@
     [StorageLive]/[StorageDead]/[Drop] (via {!Analysis.Storage}), runs a
     may-points-to analysis per body, and reports any dereference of a
     pointer/reference whose pointee may be dead. Interprocedural
-    coverage comes from deref-parameter summaries computed to fixpoint
-    over the call graph. *)
+    coverage comes from deref-parameter summaries (the parameter
+    indices a function transitively dereferences), computed bottom-up
+    over the SCC-condensed call graph by {!Analysis.Summary}. *)
 
 open Ir
 
-type summaries
-(** Per-function sets of parameter indices that the function
-    (transitively) dereferences. *)
-
-val compute_summaries :
-  ?assume_extern_derefs:bool -> Analysis.Cache.t -> summaries
-(** Fixpoint deref-parameter summaries for a whole program.
+val run_ctx :
+  ?assume_extern_derefs:bool -> Analysis.Cache.t -> Report.finding list
+(** Run the detector through a shared analysis context.
     [assume_extern_derefs] (default [true]) is the paper's
     approximation that FFI callees dereference their raw-pointer
     arguments; it is the source of the evaluation's three false
     positives and also what catches the Fig. 7 CVE. *)
 
-val check_body :
-  ?assume_extern_derefs:bool ->
-  Analysis.Cache.t ->
-  summaries ->
-  Mir.body ->
-  Report.finding list
-(** Run the detector on one body with precomputed summaries. *)
-
-val run_ctx :
-  ?assume_extern_derefs:bool ->
-  ?mode:Analysis.Summary.mode ->
-  Analysis.Cache.t ->
-  Report.finding list
-(** Run the detector through a shared analysis context. [?mode]
-    (default [Analysis.Summary.default_mode ()]) picks the
-    SCC-scheduled summary engine vs the legacy whole-program replay
-    fixpoint; both converge to the same least fixpoint. *)
-
-val run :
-  ?assume_extern_derefs:bool ->
-  ?mode:Analysis.Summary.mode ->
-  Mir.program ->
-  Report.finding list
+val run : ?assume_extern_derefs:bool -> Mir.program -> Report.finding list
 (** Run the detector over every body of a program (private context). *)

@@ -726,12 +726,15 @@ let dispatch t fd (req : Proto.request) : unit =
       inline (metrics_response ~req:req_id ~id:req.Proto.id ~format)
   | Proto.Flight_dump -> inline (flight_response t ~req:req_id ~id:req.Proto.id)
   | Proto.Shutdown ->
-      (* answer first: once the flag is set the drain may sever this
-         very connection *)
-      inline
-        (Proto.ok_response ~req:req_id ~id:req.Proto.id
-           { Proto.out = ""; err = ""; exit_code = 0 });
-      Atomic.set t.stop_requested true
+      (* raise the flag before the ack leaves, so a client holding the
+         ack always sees [shutdown_requested]; the drain severs
+         connections under [conns_m], so holding it until the ack is
+         written keeps this connection open long enough to deliver it *)
+      Mutex.protect t.conns_m (fun () ->
+          Atomic.set t.stop_requested true;
+          inline
+            (Proto.ok_response ~req:req_id ~id:req.Proto.id
+               { Proto.out = ""; err = ""; exit_code = 0 }))
   | Proto.Check _ | Proto.Detect | Proto.Study -> (
       let key = journal_key_of t req in
       match replay_lookup t key with

@@ -1,7 +1,7 @@
 (* Differential tests for the perf kernels: the bitset set type against
    Set.Make(Int), the word-level dataflow engine and storage transfers
-   against their generic counterparts, the RPO worklist against the
-   legacy seed-all FIFO, the rewritten points-to solver's interned ids,
+   against their generic counterparts, the RPO worklist's result against
+   the fixpoint equations, the rewritten points-to solver's interned ids,
    and — end to end — every detector's findings on the full bug corpus
    against the committed golden snapshot. *)
 
@@ -148,42 +148,44 @@ let word_engine_agrees () =
       end)
     (Lazy.force corpus_bodies)
 
-(* ---------------- RPO worklist vs legacy FIFO ---------------------- *)
+(* ---------------- RPO worklist: fixpoint equations ----------------- *)
 
-let rpo_vs_fifo () =
-  let rpo_total = ref 0 and fifo_total = ref 0 in
+(* The RPO result satisfies the dataflow equations directly: on every
+   reachable block, entry = init (block 0 only) joined with each
+   predecessor's exit, and exit = the block transfer of entry. A
+   non-empty [init] keeps the block-0 term of the join observable. *)
+let rpo_is_fixpoint () =
+  let transfer_stmt = Analysis.Storage.transfer_stmt
+  and transfer_term = Analysis.Storage.transfer_term
+  and init = B.add 0 B.empty in
   List.iter
     (fun (b : Mir.body) ->
-      let r =
-        Flow.run b ~init:B.empty
-          ~transfer_stmt:Analysis.Storage.transfer_stmt
-          ~transfer_term:Analysis.Storage.transfer_term
-      in
-      let f =
-        Flow.run ~order:`Fifo b ~init:B.empty
-          ~transfer_stmt:Analysis.Storage.transfer_stmt
-          ~transfer_term:Analysis.Storage.transfer_term
-      in
-      rpo_total := !rpo_total + r.Flow.passes;
-      fifo_total := !fifo_total + f.Flow.passes;
-      (* the disciplines agree everywhere once unreachable blocks (which
-         only the legacy FIFO seeds) are out of the picture *)
-      if Array.for_all Fun.id r.Flow.reachable then
-        Array.iteri
-          (fun i e ->
+      let r = Flow.run b ~init ~transfer_stmt ~transfer_term in
+      Alcotest.(check bool) "converged" true r.Flow.converged;
+      let preds = (Analysis.Dataflow.cfg_of b).Mir.cfg_preds in
+      Array.iteri
+        (fun i blk ->
+          if r.Flow.reachable.(i) then begin
+            let input =
+              Array.fold_left
+                (fun acc p -> B.union acc r.Flow.exit_.(p))
+                (if i = 0 then init else B.empty)
+                preds.(i)
+            in
             Alcotest.(check bool)
-              "same entry fixpoint" true
-              (B.equal e f.Flow.entry.(i));
+              (Printf.sprintf "%s bb%d: entry = join of inputs" b.Mir.fn_id i)
+              true
+              (B.equal r.Flow.entry.(i) input);
             Alcotest.(check bool)
-              "same exit fixpoint" true
-              (B.equal r.Flow.exit_.(i) f.Flow.exit_.(i)))
-          r.Flow.entry)
-    (Lazy.force corpus_bodies);
-  (* iteration counts are what changes: RPO never does more work than
-     seed-everything FIFO over the corpus *)
-  Alcotest.(check bool)
-    "rpo total passes <= fifo" true
-    (!rpo_total <= !fifo_total)
+              (Printf.sprintf "%s bb%d: exit = transfer of entry" b.Mir.fn_id
+                 i)
+              true
+              (B.equal r.Flow.exit_.(i)
+                 (Flow.transfer_block ~transfer_stmt ~transfer_term blk
+                    r.Flow.entry.(i)))
+          end)
+        b.Mir.blocks)
+    (Lazy.force corpus_bodies)
 
 (* ---------------- unreachable blocks ------------------------------- *)
 
@@ -400,8 +402,8 @@ let suite =
     case "storage word transfers mirror the set transfers" storage_word_mirrors;
     case "word engine agrees with the set engine on the corpus"
       word_engine_agrees;
-    case "rpo and fifo reach the same fixpoint; rpo does no more work"
-      rpo_vs_fifo;
+    case "rpo fixpoint equations hold on every reachable corpus block"
+      rpo_is_fixpoint;
     case "unreachable blocks stay bottom and are never transferred"
       unreachable_bottom;
     case "points-to interned bits agree with the Loc sets"

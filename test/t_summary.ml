@@ -1,13 +1,13 @@
 (* The summary-based interprocedural engine (Analysis.Summary):
    QCheck properties of the SCC condensation against a brute-force
-   reachability oracle, differential byte-identity of summary-mode vs
-   replay-mode detector findings over the full corpus and every fault
-   mutant, the content-addressed summary store, the escape client, and
-   the parallel wave path. *)
+   reachability oracle, run-to-run determinism, the in-SCC fixpoint on
+   mutual recursion, the content-addressed summary store, the escape
+   client, and byte-identical [check] output with tracing on and off.
+   The detectors' findings over the full corpus and every fault mutant
+   are pinned by the [golden_interproc.txt] diff rule in [dune]. *)
 
 module Summary = Rustudy.Summary
 module Scc = Rustudy.Summary.Scc
-module Fault = Rustudy.Fault
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -118,25 +118,6 @@ let scc_acyclic_reverse_topo =
            (fun i -> scc.Scc.order.(i) = i)
            (Array.init scc.Scc.count (fun i -> i)))
 
-let scc_waves =
-  prop "condense: waves partition the order and only depend on earlier \
-        waves" (fun (n, succs) ->
-      let scc = Scc.condense ~n ~succs in
-      ignore n;
-      let wave_of = Array.make scc.Scc.count (-1) in
-      Array.iteri
-        (fun w cs -> Array.iter (fun c -> wave_of.(c) <- w) cs)
-        scc.Scc.waves;
-      Array.for_all (fun w -> w >= 0) wave_of
-      && Array.for_all
-           (fun u ->
-             Array.for_all
-               (fun v ->
-                 let cu = scc.Scc.comp_of.(u) and cv = scc.Scc.comp_of.(v) in
-                 cu = cv || wave_of.(cv) < wave_of.(cu))
-               succs.(u))
-           (Array.init (Array.length succs) (fun i -> i)))
-
 let scc_has_cycle =
   prop "condense: has_cycle iff multi-member or self-loop" (fun (n, succs) ->
       let scc = Scc.condense ~n ~succs in
@@ -158,7 +139,6 @@ let scc_deterministic =
       && a.Scc.comp_of = b.Scc.comp_of
       && a.Scc.members = b.Scc.members
       && a.Scc.order = b.Scc.order
-      && a.Scc.waves = b.Scc.waves
       && a.Scc.has_cycle = b.Scc.has_cycle)
 
 let scc_props =
@@ -167,65 +147,18 @@ let scc_props =
       scc_partition;
       scc_oracle;
       scc_acyclic_reverse_topo;
-      scc_waves;
       scc_has_cycle;
       scc_deterministic;
     ]
 
-(* ---------------- differential: summary vs replay ------------------ *)
+(* ---------------- determinism ------------------------------------- *)
 
 (* Byte-identical findings: same bugs, same spans, same order, same
    rendered text. *)
 let render findings = String.concat "\n" (List.map Rustudy.Finding.to_string findings)
 
-let both_modes label (program : Rustudy.Mir.program) =
-  let check name run =
-    let s = render (run Summary.Summary) and r = render (run Summary.Replay) in
-    Alcotest.(check string) (label ^ ": " ^ name) r s
-  in
-  check "double_lock" (fun mode -> Detectors.Double_lock.run ~mode program);
-  check "uaf extern=true" (fun mode ->
-      Detectors.Uaf.run ~assume_extern_derefs:true ~mode program);
-  check "uaf extern=false" (fun mode ->
-      Detectors.Uaf.run ~assume_extern_derefs:false ~mode program)
-
-let differential =
+let determinism =
   [
-    case "summary findings byte-identical to replay on the full corpus"
-      (fun () ->
-        List.iter
-          (fun (e : Rustudy.Corpus.entry) ->
-            let p =
-              Rustudy.load ~file:(e.Rustudy.Corpus.id ^ ".rs")
-                e.Rustudy.Corpus.source
-            in
-            both_modes e.Rustudy.Corpus.id p)
-          Rustudy.Corpus.all_bugs);
-    case "summary findings byte-identical to replay on every fault mutant"
-      (fun () ->
-        let compared = ref 0 in
-        List.iter
-          (fun (e : Rustudy.Corpus.entry) ->
-            List.iter
-              (fun (mname, mutated) ->
-                let label = e.Rustudy.Corpus.id ^ "+" ^ mname in
-                (* lower in recovery mode, like the serve pipeline:
-                   malformed regions degrade to diagnostics and the
-                   rest of the program still reaches MIR *)
-                match
-                  Rustudy.Cache.load_ctx_recovering ~cache:false
-                    ~file:(label ^ ".rs") mutated
-                with
-                | Ok ctx ->
-                    incr compared;
-                    both_modes label (Rustudy.Cache.program ctx)
-                | Error _ -> ())
-              (Fault.mutations ~seed:0x5EED e.Rustudy.Corpus.source))
-          Rustudy.Corpus.all_bugs;
-        if !compared < 1000 then
-          Alcotest.failf
-            "only %d mutants lowered — the differential corpus shrank"
-            !compared);
     case "summary mode is deterministic run-to-run" (fun () ->
         List.iter
           (fun (e : Rustudy.Corpus.entry) ->
@@ -234,9 +167,9 @@ let differential =
                 e.Rustudy.Corpus.source
             in
             let once () =
-              render (Detectors.Uaf.run ~mode:Summary.Summary p)
+              render (Detectors.Uaf.run p)
               ^ "\x00"
-              ^ render (Detectors.Double_lock.run ~mode:Summary.Summary p)
+              ^ render (Detectors.Double_lock.run p)
             in
             Alcotest.(check string) e.Rustudy.Corpus.id (once ()) (once ()))
           Rustudy.Corpus.all_bugs);
@@ -266,7 +199,8 @@ pub fn entry(m: Arc<Mutex<u64>>, p: *const u8) {
 
 let recursion =
   [
-    case "mutually recursive SCC converges and matches replay" (fun () ->
+    case "mutually recursive SCC converges and pins its distinct findings"
+      (fun () ->
         let p = Rustudy.load ~file:"cyclic.rs" cyclic_src in
         let ctx = Rustudy.Cache.create p in
         let scc = Summary.condensation ctx in
@@ -276,27 +210,24 @@ let recursion =
         Alcotest.(check bool)
           "ping/pong share a component" true
           (Array.exists (fun ms -> Array.length ms = 2) scc.Scc.members);
-        (* A recursive cycle keeps duplicating lock-path entries until
-           a round cap fires, and the two modes cap differently (5
-           whole-program rounds vs 8 SCC-local rounds) — so on
-           divergent synthetic recursion only the *distinct* findings
-           are comparable. The corpus/mutant suites above pin the
-           byte-level identity where both fixpoints genuinely
-           converge. *)
-        let distinct run =
-          List.sort_uniq compare
-            (List.map Rustudy.Finding.to_string (run ()))
+        (* The cycle keeps duplicating lock-path entries until the
+           SCC-local round cap fires, so the raw finding count reflects
+           the cap; the distinct findings are what the fixpoint
+           means. *)
+        let distinct fs =
+          List.sort_uniq compare (List.map Rustudy.Finding.to_string fs)
         in
         Alcotest.(check (list string))
-          "distinct double-lock findings agree"
-          (distinct (fun () ->
-               Detectors.Double_lock.run ~mode:Summary.Replay p))
-          (distinct (fun () ->
-               Detectors.Double_lock.run ~mode:Summary.Summary p));
+          "distinct double-lock findings"
+          [
+            "[double-lock] bug in `entry` at cyclic.rs:15:17-15:30: call to \
+             `ping` acquires Mutex::lock on `param0` while a guard for the \
+             same lock is held here";
+          ]
+          (distinct (Detectors.Double_lock.run p));
         Alcotest.(check (list string))
-          "distinct uaf findings agree"
-          (distinct (fun () -> Detectors.Uaf.run ~mode:Summary.Replay p))
-          (distinct (fun () -> Detectors.Uaf.run ~mode:Summary.Summary p)));
+          "distinct uaf findings" []
+          (distinct (Detectors.Uaf.run p)));
   ]
 
 (* ---------------- content-addressed store -------------------------- *)
@@ -332,15 +263,13 @@ let store =
             Summary.set_store_min_bodies 0;
             Rustudy.Cache.clear_summaries ();
             let p = Rustudy.load ~file:"store.rs" store_src in
-            let replay = render (Detectors.Uaf.run ~mode:Summary.Replay p) in
-            let cold = render (Detectors.Uaf.run ~mode:Summary.Summary p) in
+            let cold = render (Detectors.Uaf.run p) in
             let hits0, misses0 = Rustudy.Cache.summary_cache_counts () in
             (* fresh context, same content digests: every component
                must come out of the store *)
-            let warm = render (Detectors.Uaf.run ~mode:Summary.Summary p) in
+            let warm = render (Detectors.Uaf.run p) in
             let hits1, misses1 = Rustudy.Cache.summary_cache_counts () in
-            Alcotest.(check string) "cold = replay" replay cold;
-            Alcotest.(check string) "warm = replay" replay warm;
+            Alcotest.(check string) "warm = cold" cold warm;
             Alcotest.(check bool) "cold run missed" true (misses0 > 0);
             Alcotest.(check int) "warm run all hits" misses0 misses1;
             Alcotest.(check bool) "warm run hit" true (hits1 > hits0)));
@@ -354,7 +283,7 @@ let store =
             Summary.set_store_min_bodies 0;
             Rustudy.Cache.clear_summaries ();
             let p = Rustudy.load ~file:"store.rs" store_src in
-            ignore (Detectors.Uaf.run ~mode:Summary.Summary p);
+            ignore (Detectors.Uaf.run p);
             let _, misses0 = Rustudy.Cache.summary_cache_counts () in
             (* touch [top] only: [sink] and [mid] keep their digests,
                so re-analysis recomputes exactly one component *)
@@ -365,7 +294,7 @@ let store =
             in
             Alcotest.(check bool) "edit applied" true (edited <> store_src);
             let p' = Rustudy.load ~file:"store.rs" edited in
-            ignore (Detectors.Uaf.run ~mode:Summary.Summary p');
+            ignore (Detectors.Uaf.run p');
             let _, misses1 = Rustudy.Cache.summary_cache_counts () in
             Alcotest.(check int) "one recompute after the edit" (misses0 + 1)
               misses1));
@@ -386,7 +315,7 @@ let metrics =
             let c0 = read "rustudy_summary_computed_total" "uaf" in
             let i0 = read "rustudy_summary_instantiated_total" "uaf" in
             let p = Rustudy.load ~file:"store.rs" store_src in
-            ignore (Detectors.Uaf.run ~mode:Summary.Summary p);
+            ignore (Detectors.Uaf.run p);
             let c1 = read "rustudy_summary_computed_total" "uaf" in
             let i1 = read "rustudy_summary_instantiated_total" "uaf" in
             (* three bodies: three summary computations; [mid] and
@@ -441,51 +370,61 @@ let escape =
           (mem 0 v.Summary.esc_escaped));
   ]
 
-(* ---------------- parallel wave path ------------------------------- *)
+(* ---------------- tracing ----------------------------------------- *)
 
-let parallel =
+let tracing =
   [
-    case "domains:2 computes the same summary table" (fun () ->
-        let src = Buffer.create 1024 in
-        (* a small diamond: root calls eight leaves *)
-        for i = 0 to 7 do
-          Buffer.add_string src
-            (Printf.sprintf
-               "pub unsafe fn leaf%d(p: *const u8) -> u8 {\n    let x = *p;\n\
-               \    x\n}\n" i)
-        done;
-        Buffer.add_string src "pub unsafe fn root(p: *const u8) -> u8 {\n";
-        for i = 0 to 7 do
-          Buffer.add_string src (Printf.sprintf "    let v%d = leaf%d(p);\n" i i)
-        done;
-        Buffer.add_string src "    v0\n}\n";
-        let p = Rustudy.load ~file:"par.rs" (Buffer.contents src) in
-        let seq = render (Detectors.Uaf.run ~mode:Summary.Summary p) in
-        let ctx = Rustudy.Cache.create p in
-        let tbl =
-          Summary.compute ~domains:2 ctx
-            {
-              Summary.name = "t_par";
-              params = "";
-              skey = Rustudy.Cache.Ext.create ();
-              equal = ( = );
-              compute =
-                (fun ~lookup (b : Rustudy.Mir.body) ->
-                  Array.length b.Rustudy.Mir.blocks
-                  + List.length
-                      (List.filter_map lookup
-                         [ "leaf0"; "leaf1"; "root" ]));
-            }
+    case "check output is byte-identical with tracing on and off" (fun () ->
+        let graph =
+          Scale_gen.program ~seed:0x5CA1E ~shape:Scale_gen.Diamond ~n:200
         in
-        Alcotest.(check int) "9 summaries" 9 (Hashtbl.length tbl);
-        (* findings through the parallel engine stay identical *)
-        let par =
-          render
-            (Detectors.Uaf.run_ctx ~mode:Summary.Summary
-               (Rustudy.Cache.create p))
+        (* a root that holds the lock across its call into function 0,
+           which every sink below locks again: an interprocedural double
+           lock that only the summaries can see *)
+        let f0 =
+          let start = String.length "pub unsafe fn " in
+          String.sub graph start (String.index graph '(' - start)
         in
-        Alcotest.(check string) "sequential = fresh context" seq par);
+        let source =
+          graph
+          ^ Printf.sprintf
+              "pub unsafe fn root(m: Arc<Mutex<u64>>, p: *const u8) -> u8 {\n\
+              \    let g = m.lock().unwrap();\n\
+              \    let v = %s(m, p);\n\
+              \    v\n\
+               }\n"
+              f0
+        in
+        let check () =
+          (* cold caches both times: the second run must not be served
+             from what the first one stored *)
+          Rustudy.Cache.clear_programs ();
+          Rustudy.Cache.clear_summaries ();
+          Server.Handlers.check ~file:"diamond.rs" ~source ()
+        in
+        let untraced = check () in
+        let was = Support.Trace.enabled () in
+        Support.Trace.reset ();
+        Support.Trace.enable ();
+        let traced =
+          Fun.protect
+            ~finally:(fun () -> if not was then Support.Trace.disable ())
+            check
+        in
+        Alcotest.(check string) "out" untraced.Server.Proto.out
+          traced.Server.Proto.out;
+        Alcotest.(check string) "err" untraced.Server.Proto.err
+          traced.Server.Proto.err;
+        Alcotest.(check int) "exit" untraced.Server.Proto.exit_code
+          traced.Server.Proto.exit_code;
+        Alcotest.(check bool) "the program has findings" true
+          (untraced.Server.Proto.exit_code = 1);
+        Alcotest.(check bool) "summary.compute spans recorded" true
+          (List.exists
+             (fun (a : Support.Trace.agg) ->
+               a.Support.Trace.agg_name = "summary.compute")
+             (Support.Trace.aggregates ())));
   ]
 
 let suite =
-  scc_props @ differential @ recursion @ store @ metrics @ escape @ parallel
+  scc_props @ determinism @ recursion @ store @ metrics @ escape @ tracing
