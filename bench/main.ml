@@ -10,7 +10,9 @@
    --compare FILE    print a per-benchmark speedup table against the
                      ns_per_run section of a previous --json output and
                      exit non-zero on a >25%% regression in a gated row
-                     (the detectors/, frontend/ and server/ prefixes)
+                     (the detectors/, frontend/ and server/ prefixes);
+                     exits 3 before timing anything when FILE is not
+                     JSON or has no ns_per_run rows
    --quick           smoke mode for dune runtest: tiny quota, detector
                      group + one cached corpus pass only *)
 
@@ -1105,52 +1107,38 @@ let print_replicate (r : replicate_timings) =
 (* Baseline comparison (--compare BASELINE.json)                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimal parser for one flat object this binary writes: one
-   `"name": value` pair per line between the opening and closing
-   braces of the section named [section]. Values come back as raw
-   strings. *)
-let read_json_section path section : (string * string) list =
-  let marker = "\"" ^ section ^ "\":" in
-  let ml = String.length marker in
-  let ic = open_in path in
-  let rows = ref [] and in_ns = ref false in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if String.length line >= ml && String.sub line 0 ml = marker then
-         in_ns := true
-       else if !in_ns then
-         if line = "}," || line = "}" then raise Exit
-         else
-           match String.rindex_opt line ':' with
-           | Some ci ->
-               let name = String.trim (String.sub line 0 ci) in
-               let name =
-                 if String.length name >= 2 && name.[0] = '"' then
-                   String.sub name 1 (String.length name - 2)
-                 else name
-               in
-               let v =
-                 String.trim
-                   (String.sub line (ci + 1) (String.length line - ci - 1))
-               in
-               let v =
-                 if v <> "" && v.[String.length v - 1] = ',' then
-                   String.sub v 0 (String.length v - 1)
-                 else v
-               in
-               if name <> "" then rows := (name, v) :: !rows
-           | None -> ()
-     done
-   with End_of_file | Exit -> ());
-  close_in ic;
-  List.rev !rows
+module Json = Support.Json
 
-let read_baseline path : (string * float) list =
-  List.filter_map
-    (fun (name, v) ->
-      Option.map (fun f -> (name, f)) (float_of_string_opt v))
-    (read_json_section path "ns_per_run")
+type baseline = {
+  base_rows : (string * float) list;  (** the ns_per_run section *)
+  base_meta : (string * string) list;  (** values as JSON text *)
+}
+
+(* A baseline that cannot be read would gate nothing (every row "new
+   since baseline"), so it stops the run before any timing. *)
+let load_baseline path : baseline =
+  let fail msg =
+    Printf.eprintf "bench: baseline %s: %s\n" path msg;
+    exit 3
+  in
+  match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | exception Sys_error msg -> fail msg
+  | exception Json.Error msg -> fail ("not valid JSON: " ^ msg)
+  | doc ->
+      let section name =
+        match Json.member name doc with Some (Json.Obj kvs) -> kvs | _ -> []
+      in
+      let base_rows =
+        List.filter_map
+          (function k, Json.Num f -> Some (k, f) | _ -> None)
+          (section "ns_per_run")
+      in
+      if base_rows = [] then fail "no \"ns_per_run\" rows";
+      let text = function Json.Str s -> s | v -> Json.to_string v in
+      {
+        base_rows;
+        base_meta = List.map (fun (k, v) -> (k, text v)) (section "meta");
+      }
 
 (* The run parameters a baseline was produced under. Comparing against
    a baseline recorded with different parameters is apples-to-oranges;
@@ -1168,8 +1156,8 @@ let current_meta ~replicate () : (string * string) list =
       string_of_int (Rustudy.Deadline.get_default_ms ()) );
   ]
 
-let warn_meta_mismatch path ~replicate =
-  match read_json_section path "meta" with
+let warn_meta_mismatch (b : baseline) ~replicate =
+  match b.base_meta with
   | [] ->
       Printf.printf
         "  note: baseline has no \"meta\" block (pre-v%d bench output); \
@@ -1201,17 +1189,17 @@ let gated_prefixes =
    when any gated entry regressed by more than 25%. Rows with no
    baseline entry (e.g. a group added after the baseline was recorded)
    are reported as new and never gate. *)
-let compare_against ~replicate path (rows : (string * float) list) : bool =
-  let baseline = read_baseline path in
+let compare_against ~replicate (path, baseline) (rows : (string * float) list)
+    : bool =
   Printf.printf "\n== compare vs %s ==\n" path;
-  warn_meta_mismatch path ~replicate;
+  warn_meta_mismatch baseline ~replicate;
   Printf.printf "  %-36s %14s %14s %9s\n" "benchmark" "baseline ns/run"
     "current ns/run" "speedup";
   let regressed = ref [] in
   let unbaselined = ref [] in
   List.iter
     (fun (name, cur) ->
-      match List.assoc_opt name baseline with
+      match List.assoc_opt name baseline.base_rows with
       | None -> unbaselined := name :: !unbaselined
       | Some base ->
           let gated = List.exists (fun p -> has_prefix p name) gated_prefixes in
@@ -1237,258 +1225,171 @@ let compare_against ~replicate path (rows : (string * float) list) : bool =
   !regressed = []
 
 (* ------------------------------------------------------------------ *)
-(* JSON output (hand-rolled: no JSON library in the dependency set)    *)
+(* JSON output: one "name": value pair per line                        *)
 (* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let write_json path (rows : (string * float) list) (c : corpus_timings)
     ?replicate ~frontend ~supervisor ~server ~oracle ~ratio_index ~ratio_copy
     () =
-  let oc = open_out path in
-  let field k v = Printf.fprintf oc "    \"%s\": %s" (json_escape k) v in
-  output_string oc "{\n  \"meta\": {\n";
-  let meta =
-    current_meta
-      ~replicate:(match replicate with Some r -> r.rep_n | None -> 0)
-      ()
-  in
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then output_string oc ",\n";
-      field name v)
-    meta;
-  output_string oc "\n  },\n  \"ns_per_run\": {\n";
-  List.iteri
-    (fun i (name, ns) ->
-      if i > 0 then output_string oc ",\n";
-      field name (Printf.sprintf "%.1f" ns))
-    rows;
-  output_string oc "\n  },\n  \"corpus_seconds\": {\n";
+  let f1 = Printf.sprintf "%.1f"
+  and f3 = Printf.sprintf "%.3f"
+  and f6 = Printf.sprintf "%.6f"
+  and int = string_of_int in
   (* on a single-core host the parallel rows carry the marker string
      "skipped_single_core" rather than a meaningless ~1x speedup; the
-     baseline reader only keeps rows that parse as floats, so marker
-     rows are exempt from --compare gating by construction *)
-  let skipped = "\"skipped_single_core\"" in
-  let cf =
+     baseline reader only keeps numeric rows, so marker rows are
+     exempt from --compare gating by construction *)
+  let unless_skipped v =
+    if c.parallel_skipped then "\"skipped_single_core\"" else v
+  in
+  let fe = frontend in
+  let stat_fields prefix (st : Rustudy.Supervisor.stats) =
     [
-      ("uncached", Printf.sprintf "%.6f" c.uncached_s);
-      ("cached_cold", Printf.sprintf "%.6f" c.cached_cold_s);
-      ("cached_warm", Printf.sprintf "%.6f" c.cached_warm_s);
-      ("sequential", Printf.sprintf "%.6f" c.sequential_s);
-      ( "parallel",
-        if c.parallel_skipped then skipped
-        else Printf.sprintf "%.6f" c.parallel_s );
+      (prefix ^ "total", int st.Rustudy.Supervisor.total);
+      (prefix ^ "completed", int st.Rustudy.Supervisor.completed);
+      (prefix ^ "retried", int st.Rustudy.Supervisor.retried);
+      (prefix ^ "timeouts", int st.Rustudy.Supervisor.timeouts);
+      (prefix ^ "quarantined", int st.Rustudy.Supervisor.quarantined);
+      (prefix ^ "skipped", int st.Rustudy.Supervisor.skipped);
     ]
   in
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then output_string oc ",\n";
-      field name v)
-    cf;
-  output_string oc ",\n";
-  field "parallel_domains" (string_of_int c.parallel_domains);
-  output_string oc ",\n";
-  field "parallel_identical"
-    (if c.parallel_skipped then skipped
-     else string_of_bool c.parallel_identical);
-  output_string oc ",\n";
-  field "cached_speedup" (Printf.sprintf "%.3f" (c.uncached_s /. c.cached_warm_s));
-  output_string oc ",\n";
-  field "parallel_speedup"
-    (if c.parallel_skipped then skipped
-     else Printf.sprintf "%.3f" (c.sequential_s /. c.parallel_s));
-  output_string oc "\n  },\n  \"degraded_corpus\": {\n";
-  let df =
+  let o : Rustudy.Oracle_eval.result = oracle in
+  let oracle_count pick = int (oracle_total pick o) in
+  let sections =
     [
-      ("recovery_clean_s", Printf.sprintf "%.6f" c.recovery_clean_s);
-      ("recovery_mutated_s", Printf.sprintf "%.6f" c.recovery_mutated_s);
-      ( "mutated_over_clean",
-        Printf.sprintf "%.3f" (c.recovery_mutated_s /. c.recovery_clean_s) );
-      ("mutant_count", string_of_int c.mutant_count);
-      ("mutant_clean", string_of_int c.mutant_clean);
-      ("mutant_degraded", string_of_int c.mutant_degraded);
-      ("mutant_failed", string_of_int c.mutant_failed);
-    ]
-  in
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then output_string oc ",\n";
-      field name v)
-    df;
-  output_string oc "\n  },\n";
-  (let fe = frontend in
-   output_string oc "  \"frontend\": {\n";
-   let ff =
-     [
-       ("clean_files", string_of_int fe.fe_clean_files);
-       ("clean_bytes", string_of_int fe.fe_clean_bytes);
-       ("clean_tokens", string_of_int fe.fe_clean_tokens);
-       ("mutated_files", string_of_int fe.fe_mutated_files);
-       ("mutated_bytes", string_of_int fe.fe_mutated_bytes);
-       ("mutated_tokens", string_of_int fe.fe_mutated_tokens);
-       ("lex_clean_s", Printf.sprintf "%.6f" fe.fe_lex_clean_s);
-       ("lex_mutated_s", Printf.sprintf "%.6f" fe.fe_lex_mutated_s);
-       ( "lex_clean_tokens_per_sec",
-         Printf.sprintf "%.0f"
-           (float_of_int fe.fe_clean_tokens /. fe.fe_lex_clean_s) );
-       ( "lex_clean_mb_per_sec",
-         Printf.sprintf "%.3f"
-           (float_of_int fe.fe_clean_bytes /. 1e6 /. fe.fe_lex_clean_s) );
-       ( "lex_mutated_tokens_per_sec",
-         Printf.sprintf "%.0f"
-           (float_of_int fe.fe_mutated_tokens /. fe.fe_lex_mutated_s) );
-       ( "lex_mutated_mb_per_sec",
-         Printf.sprintf "%.3f"
-           (float_of_int fe.fe_mutated_bytes /. 1e6 /. fe.fe_lex_mutated_s) );
-       ( "parse_strict_clean_s",
-         Printf.sprintf "%.6f" fe.fe_parse_strict_clean_s );
-       ( "parse_recovering_mutated_s",
-         Printf.sprintf "%.6f" fe.fe_parse_recovering_mutated_s );
-       ( "parse_mutated_over_clean",
-         Printf.sprintf "%.3f"
-           (fe.fe_parse_recovering_mutated_s /. fe.fe_parse_strict_clean_s) );
-       ( "parse_mutated_over_clean_per_byte",
-         Printf.sprintf "%.3f" (fe_ratio_per_byte fe) );
-       ( "parse_mutated_over_clean_per_token",
-         Printf.sprintf "%.3f" (fe_ratio_per_token fe) );
-     ]
-   in
-   List.iteri
-     (fun i (name, v) ->
-       if i > 0 then output_string oc ",\n";
-       field name v)
-     ff;
-   output_string oc "\n  },\n");
-  (match replicate with
-  | None -> ()
-  | Some r ->
-      output_string oc "  \"replicate\": {\n";
-      let rf =
+      ( "meta",
+        current_meta
+          ~replicate:(match replicate with Some r -> r.rep_n | None -> 0)
+          () );
+      ("ns_per_run", List.map (fun (name, ns) -> (name, f1 ns)) rows);
+      ( "corpus_seconds",
         [
-          ("n", string_of_int r.rep_n);
-          ("items", string_of_int r.rep_items);
-          ("sequential_s", Printf.sprintf "%.6f" r.rep_sequential_s);
-          ("parallel_s", Printf.sprintf "%.6f" r.rep_parallel_s);
-          ("domains", string_of_int r.rep_domains);
-          ("identical", string_of_bool r.rep_identical);
-          ( "speedup",
-            Printf.sprintf "%.3f" (r.rep_sequential_s /. r.rep_parallel_s) );
-        ]
-      in
-      List.iteri
-        (fun i (name, v) ->
-          if i > 0 then output_string oc ",\n";
-          field name v)
-        rf;
-      output_string oc "\n  },\n");
-  (let s = supervisor in
-   output_string oc "  \"supervisor\": {\n";
-   let stat_fields prefix (st : Rustudy.Supervisor.stats) =
-     [
-       (prefix ^ "total", string_of_int st.Rustudy.Supervisor.total);
-       (prefix ^ "completed", string_of_int st.Rustudy.Supervisor.completed);
-       (prefix ^ "retried", string_of_int st.Rustudy.Supervisor.retried);
-       (prefix ^ "timeouts", string_of_int st.Rustudy.Supervisor.timeouts);
-       ( prefix ^ "quarantined",
-         string_of_int st.Rustudy.Supervisor.quarantined );
-       (prefix ^ "skipped", string_of_int st.Rustudy.Supervisor.skipped);
-     ]
-   in
-   let sf =
-     [ ("clean_s", Printf.sprintf "%.6f" s.sup_clean_s) ]
-     @ stat_fields "clean_" s.sup_stats
-     @ [
-         ("clean_replayed", string_of_int s.sup_replayed);
-         ("adversarial_s", Printf.sprintf "%.6f" s.sup_adversarial_s);
-       ]
-     @ stat_fields "adversarial_" s.sup_adversarial_stats
-   in
-   List.iteri
-     (fun i (name, v) ->
-       if i > 0 then output_string oc ",\n";
-       field name v)
-     sf;
-   output_string oc "\n  },\n");
-  (let s = server in
-   output_string oc "  \"server\": {\n";
-   let vf =
-     [
-       ("clients", string_of_int s.srv_clients);
-       ("requests", string_of_int s.srv_requests);
-       ("check_p50_ns", Printf.sprintf "%.1f" s.srv_p50_ns);
-       ("check_p99_ns", Printf.sprintf "%.1f" s.srv_p99_ns);
-       ("check_p50_flight_off_ns", Printf.sprintf "%.1f" s.srv_flight_off_p50_ns);
-       ("stats_rtt_ns", Printf.sprintf "%.1f" s.srv_stats_rtt_ns);
-       ("adversarial_requests", string_of_int s.srv_adv_requests);
-       ("shed", string_of_int s.srv_shed);
-       ("retried", string_of_int s.srv_retried);
-       ("timeouts", string_of_int s.srv_timeouts);
-     ]
-   in
-   List.iteri
-     (fun i (name, v) ->
-       if i > 0 then output_string oc ",\n";
-       field name v)
-     vf;
-   output_string oc "\n  },\n");
-  (let o : Rustudy.Oracle_eval.result = oracle in
-   output_string oc "  \"oracle\": {\n";
-   let of_ =
-     [
-       ("programs", string_of_int o.Rustudy.Oracle_eval.programs);
-       ("mutants", string_of_int o.Rustudy.Oracle_eval.mutants);
-       ("degraded", string_of_int (List.length o.Rustudy.Oracle_eval.degraded));
-       ("escaped", string_of_int o.Rustudy.Oracle_eval.escaped);
-       ( "agree_pos",
-         string_of_int
-           (oracle_total (fun w -> w.Rustudy.Oracle_eval.agree_pos) o) );
-       ( "agree_neg",
-         string_of_int
-           (oracle_total (fun w -> w.Rustudy.Oracle_eval.agree_neg) o) );
-       ( "static_only",
-         string_of_int
-           (oracle_total (fun w -> w.Rustudy.Oracle_eval.static_only) o) );
-       ( "dynamic_only",
-         string_of_int
-           (oracle_total (fun w -> w.Rustudy.Oracle_eval.dynamic_only) o) );
-       ( "inconclusive",
-         string_of_int
-           (oracle_total (fun w -> w.Rustudy.Oracle_eval.inconclusive) o) );
-     ]
-     @ List.concat_map
-         (fun (cls, w) ->
-           [
-             ( cls ^ "_agree_pos",
-               string_of_int w.Rustudy.Oracle_eval.agree_pos );
-             ( cls ^ "_dynamic_only",
-               string_of_int w.Rustudy.Oracle_eval.dynamic_only );
-           ])
-         o.Rustudy.Oracle_eval.rows
-   in
-   List.iteri
-     (fun i (name, v) ->
-       if i > 0 then output_string oc ",\n";
-       field name v)
-     of_;
-   output_string oc "\n  },\n");
-  output_string oc "  \"section_4_1\": {\n";
-  field "checked_over_unchecked_index" (Printf.sprintf "%.3f" ratio_index);
-  output_string oc ",\n";
-  field "per_element_over_memcpy_copy" (Printf.sprintf "%.3f" ratio_copy);
-  output_string oc "\n  }\n}\n";
+          ("uncached", f6 c.uncached_s);
+          ("cached_cold", f6 c.cached_cold_s);
+          ("cached_warm", f6 c.cached_warm_s);
+          ("sequential", f6 c.sequential_s);
+          ("parallel", unless_skipped (f6 c.parallel_s));
+          ("parallel_domains", int c.parallel_domains);
+          ("parallel_identical", unless_skipped (string_of_bool c.parallel_identical));
+          ("cached_speedup", f3 (c.uncached_s /. c.cached_warm_s));
+          ("parallel_speedup", unless_skipped (f3 (c.sequential_s /. c.parallel_s)));
+        ] );
+      ( "degraded_corpus",
+        [
+          ("recovery_clean_s", f6 c.recovery_clean_s);
+          ("recovery_mutated_s", f6 c.recovery_mutated_s);
+          ("mutated_over_clean", f3 (c.recovery_mutated_s /. c.recovery_clean_s));
+          ("mutant_count", int c.mutant_count);
+          ("mutant_clean", int c.mutant_clean);
+          ("mutant_degraded", int c.mutant_degraded);
+          ("mutant_failed", int c.mutant_failed);
+        ] );
+      ( "frontend",
+        [
+          ("clean_files", int fe.fe_clean_files);
+          ("clean_bytes", int fe.fe_clean_bytes);
+          ("clean_tokens", int fe.fe_clean_tokens);
+          ("mutated_files", int fe.fe_mutated_files);
+          ("mutated_bytes", int fe.fe_mutated_bytes);
+          ("mutated_tokens", int fe.fe_mutated_tokens);
+          ("lex_clean_s", f6 fe.fe_lex_clean_s);
+          ("lex_mutated_s", f6 fe.fe_lex_mutated_s);
+          ( "lex_clean_tokens_per_sec",
+            Printf.sprintf "%.0f"
+              (float_of_int fe.fe_clean_tokens /. fe.fe_lex_clean_s) );
+          ( "lex_clean_mb_per_sec",
+            f3 (float_of_int fe.fe_clean_bytes /. 1e6 /. fe.fe_lex_clean_s) );
+          ( "lex_mutated_tokens_per_sec",
+            Printf.sprintf "%.0f"
+              (float_of_int fe.fe_mutated_tokens /. fe.fe_lex_mutated_s) );
+          ( "lex_mutated_mb_per_sec",
+            f3 (float_of_int fe.fe_mutated_bytes /. 1e6 /. fe.fe_lex_mutated_s) );
+          ("parse_strict_clean_s", f6 fe.fe_parse_strict_clean_s);
+          ("parse_recovering_mutated_s", f6 fe.fe_parse_recovering_mutated_s);
+          ( "parse_mutated_over_clean",
+            f3 (fe.fe_parse_recovering_mutated_s /. fe.fe_parse_strict_clean_s) );
+          ("parse_mutated_over_clean_per_byte", f3 (fe_ratio_per_byte fe));
+          ("parse_mutated_over_clean_per_token", f3 (fe_ratio_per_token fe));
+        ] );
+    ]
+    @ (match replicate with
+      | None -> []
+      | Some r ->
+          [
+            ( "replicate",
+              [
+                ("n", int r.rep_n);
+                ("items", int r.rep_items);
+                ("sequential_s", f6 r.rep_sequential_s);
+                ("parallel_s", f6 r.rep_parallel_s);
+                ("domains", int r.rep_domains);
+                ("identical", string_of_bool r.rep_identical);
+                ("speedup", f3 (r.rep_sequential_s /. r.rep_parallel_s));
+              ] );
+          ])
+    @ [
+        ( "supervisor",
+          [ ("clean_s", f6 supervisor.sup_clean_s) ]
+          @ stat_fields "clean_" supervisor.sup_stats
+          @ [
+              ("clean_replayed", int supervisor.sup_replayed);
+              ("adversarial_s", f6 supervisor.sup_adversarial_s);
+            ]
+          @ stat_fields "adversarial_" supervisor.sup_adversarial_stats );
+        ( "server",
+          [
+            ("clients", int server.srv_clients);
+            ("requests", int server.srv_requests);
+            ("check_p50_ns", f1 server.srv_p50_ns);
+            ("check_p99_ns", f1 server.srv_p99_ns);
+            ("check_p50_flight_off_ns", f1 server.srv_flight_off_p50_ns);
+            ("stats_rtt_ns", f1 server.srv_stats_rtt_ns);
+            ("adversarial_requests", int server.srv_adv_requests);
+            ("shed", int server.srv_shed);
+            ("retried", int server.srv_retried);
+            ("timeouts", int server.srv_timeouts);
+          ] );
+        ( "oracle",
+          [
+            ("programs", int o.Rustudy.Oracle_eval.programs);
+            ("mutants", int o.Rustudy.Oracle_eval.mutants);
+            ("degraded", int (List.length o.Rustudy.Oracle_eval.degraded));
+            ("escaped", int o.Rustudy.Oracle_eval.escaped);
+            ("agree_pos", oracle_count (fun w -> w.Rustudy.Oracle_eval.agree_pos));
+            ("agree_neg", oracle_count (fun w -> w.Rustudy.Oracle_eval.agree_neg));
+            ( "static_only",
+              oracle_count (fun w -> w.Rustudy.Oracle_eval.static_only) );
+            ( "dynamic_only",
+              oracle_count (fun w -> w.Rustudy.Oracle_eval.dynamic_only) );
+            ( "inconclusive",
+              oracle_count (fun w -> w.Rustudy.Oracle_eval.inconclusive) );
+          ]
+          @ List.concat_map
+              (fun (cls, w) ->
+                [
+                  (cls ^ "_agree_pos", int w.Rustudy.Oracle_eval.agree_pos);
+                  (cls ^ "_dynamic_only", int w.Rustudy.Oracle_eval.dynamic_only);
+                ])
+              o.Rustudy.Oracle_eval.rows );
+        ( "section_4_1",
+          [
+            ("checked_over_unchecked_index", f3 ratio_index);
+            ("per_element_over_memcpy_copy", f3 ratio_copy);
+          ] );
+      ]
+  in
+  let quote k = Json.to_string (Json.Str k) in
+  let oc = open_out path in
+  output_string oc "{\n";
+  List.iteri
+    (fun i (name, fields) ->
+      Printf.fprintf oc "%s  %s: {\n%s\n  }"
+        (if i > 0 then ",\n" else "")
+        (quote name)
+        (String.concat ",\n"
+           (List.map (fun (k, v) -> Printf.sprintf "    %s: %s" (quote k) v) fields)))
+    sections;
+  output_string oc "\n}\n";
   close_out oc
 
 (* ------------------------------------------------------------------ *)
@@ -1511,7 +1412,9 @@ let () =
     | Some s -> int_of_string s
     | None -> 0
   in
-  let compare_file = arg_value "--compare" in
+  let compare_file =
+    Option.map (fun f -> (f, load_baseline f)) (arg_value "--compare")
+  in
   if quick then begin
     (* smoke mode (wired into dune runtest): exercise the bechamel
        harness on the detector group with a tiny quota plus one cached

@@ -122,6 +122,17 @@ let m_request_ms =
 
 (* ---------------- one-shot response cells ---------------------------- *)
 
+(* A response rendered once, by whoever decides it: the access log
+   counts these bytes and the connection thread writes them. *)
+type reply = { status : string; code : string; bytes : string }
+
+let render (resp : Sjson.t) : reply =
+  {
+    status = Option.value ~default:"?" (Sjson.str_member "status" resp);
+    code = Option.value ~default:"" (Sjson.str_member "code" resp);
+    bytes = Sjson.to_string resp;
+  }
+
 (* The connection thread blocks on [take]; whoever decides the
    request's fate ([fill]s first) wins — worker success, worker-death
    backstop, or the drain sweep. Later fills are no-ops, which is what
@@ -129,7 +140,7 @@ let m_request_ms =
 type cell = {
   cm : Mutex.t;
   cc : Condition.t;
-  mutable value : Sjson.t option;
+  mutable value : reply option;
 }
 
 let new_cell () = { cm = Mutex.create (); cc = Condition.create (); value = None }
@@ -137,7 +148,7 @@ let new_cell () = { cm = Mutex.create (); cc = Condition.create (); value = None
 (* [before] runs only for the winning fill, before the waiter can
    wake: accounting done there (stats, access log, flight events) is
    visible by the time the client sees the response. *)
-let fill ?(before = fun () -> ()) (c : cell) (v : Sjson.t) : bool =
+let fill ?(before = fun () -> ()) (c : cell) (v : reply) : bool =
   Mutex.lock c.cm;
   let filled =
     match c.value with
@@ -151,7 +162,9 @@ let fill ?(before = fun () -> ()) (c : cell) (v : Sjson.t) : bool =
   Mutex.unlock c.cm;
   filled
 
-let take (c : cell) : Sjson.t =
+let filled (c : cell) : bool = Mutex.protect c.cm (fun () -> c.value <> None)
+
+let take (c : cell) : reply =
   Mutex.lock c.cm;
   let rec go () =
     match c.value with
@@ -184,10 +197,7 @@ type t = {
   (* bounded access log: a ring of structured per-request lines, under
      its own lock so connection threads never contend with admission *)
   access_m : Mutex.t;
-  access_buf : Sjson.t option array;
-  mutable access_start : int;
-  mutable access_len : int;
-  mutable access_dropped : int;
+  access : Sjson.t Support.Ring.t;
   (* admission queue + lifecycle, all under [qm] *)
   qm : Mutex.t;
   q_nonempty : Condition.t;
@@ -253,7 +263,7 @@ let uptime_ms t =
    admission-to-response wall time, [bytes] the rendered response
    size. *)
 let access_line ~req_id ~(id : Sjson.t) ~op ~queue_ns ~attempts
-    ~(resp : Sjson.t) ~wall_ns : Sjson.t =
+    ~(reply : reply) ~wall_ns : Sjson.t =
   let num n = Sjson.Num (float_of_int n) in
   let num64 n = Sjson.Num (Int64.to_float n) in
   Sjson.Obj
@@ -263,46 +273,21 @@ let access_line ~req_id ~(id : Sjson.t) ~op ~queue_ns ~attempts
       ("op", Sjson.Str op);
       ("queue_ns", num64 queue_ns);
       ("attempts", num attempts);
-      ( "status",
-        Sjson.Str (Option.value ~default:"?" (Sjson.str_member "status" resp))
-      );
-      ("code", Sjson.Str (Option.value ~default:"" (Sjson.str_member "code" resp)));
+      ("status", Sjson.Str reply.status);
+      ("code", Sjson.Str reply.code);
       ("wall_ns", num64 wall_ns);
-      ("bytes", num (String.length (Sjson.to_string resp)));
+      ("bytes", num (String.length reply.bytes));
     ]
 
-let log_access t ~req_id ~id ~op ~queue_ns ~attempts ~resp ~wall_ns : unit =
-  let line = access_line ~req_id ~id ~op ~queue_ns ~attempts ~resp ~wall_ns in
-  Mutex.lock t.access_m;
-  let cap = Array.length t.access_buf in
-  if t.access_len < cap then begin
-    t.access_buf.((t.access_start + t.access_len) mod cap) <- Some line;
-    t.access_len <- t.access_len + 1
-  end
-  else begin
-    t.access_buf.(t.access_start) <- Some line;
-    t.access_start <- (t.access_start + 1) mod cap;
-    t.access_dropped <- t.access_dropped + 1
-  end;
-  Mutex.unlock t.access_m
+let log_access t ~req_id ~id ~op ~queue_ns ~attempts ~reply ~wall_ns : unit =
+  let line = access_line ~req_id ~id ~op ~queue_ns ~attempts ~reply ~wall_ns in
+  Mutex.protect t.access_m (fun () -> Support.Ring.push t.access line)
 
 let access_log t : Sjson.t list =
-  Mutex.lock t.access_m;
-  let cap = Array.length t.access_buf in
-  let out = ref [] in
-  for i = t.access_len - 1 downto 0 do
-    match t.access_buf.((t.access_start + i) mod cap) with
-    | Some l -> out := l :: !out
-    | None -> ()
-  done;
-  Mutex.unlock t.access_m;
-  !out
+  Mutex.protect t.access_m (fun () -> Support.Ring.to_list t.access)
 
 let access_dropped t : int =
-  Mutex.lock t.access_m;
-  let d = t.access_dropped in
-  Mutex.unlock t.access_m;
-  d
+  Mutex.protect t.access_m (fun () -> Support.Ring.dropped t.access)
 
 (* ---------------- journal keys & replay ------------------------------ *)
 
@@ -456,21 +441,21 @@ let handle_job t (job : job) : unit =
   let ms = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6 in
   Support.Metrics.observe m_request_ms ~labels:[ Proto.cmd_name req.Proto.cmd ] ms;
   let finish resp ~stat =
+    let reply = render resp in
     let before () =
       ignore (Atomic.fetch_and_add stat 1);
       let wall_ns = Int64.max 0L (Int64.sub (now_ns ()) job.admitted_ns) in
       log_access t ~req_id ~id:req.Proto.id ~op:(Proto.cmd_name req.Proto.cmd)
-        ~queue_ns ~attempts:!attempts ~resp ~wall_ns;
+        ~queue_ns ~attempts:!attempts ~reply ~wall_ns;
       Support.Flight.record "req.finish"
         ~fields:
           [
             ("req", string_of_int req_id);
-            ( "status",
-              Option.value ~default:"?" (Sjson.str_member "status" resp) );
+            ("status", reply.status);
             ("attempts", string_of_int !attempts);
           ]
     in
-    ignore (fill ~before job.cell resp)
+    ignore (fill ~before job.cell reply)
   in
   match result with
   | Ok outcome ->
@@ -519,15 +504,18 @@ let lost_response (job : job) =
     ~code:Support.Diag.Server_worker_lost "worker lost mid-request (respawned)"
 
 let fill_lost t (job : job) =
-  let resp = lost_response job in
-  let before () =
-    ignore (Atomic.fetch_and_add t.s_errors 1);
-    let wall_ns = Int64.max 0L (Int64.sub (now_ns ()) job.admitted_ns) in
-    log_access t ~req_id:job.req_id ~id:job.req.Proto.id
-      ~op:(Proto.cmd_name job.req.Proto.cmd) ~queue_ns:0L ~attempts:0 ~resp
-      ~wall_ns
-  in
-  ignore (fill ~before job.cell resp)
+  (* the backstop runs after every job: render only when it can win *)
+  if not (filled job.cell) then begin
+    let reply = render (lost_response job) in
+    let before () =
+      ignore (Atomic.fetch_and_add t.s_errors 1);
+      let wall_ns = Int64.max 0L (Int64.sub (now_ns ()) job.admitted_ns) in
+      log_access t ~req_id:job.req_id ~id:job.req.Proto.id
+        ~op:(Proto.cmd_name job.req.Proto.cmd) ~queue_ns:0L ~attempts:0 ~reply
+        ~wall_ns
+    in
+    ignore (fill ~before job.cell reply)
+  end
 
 let rec worker_loop t =
   match pop t with
@@ -570,12 +558,9 @@ let incr_bad t =
   Support.Metrics.incr m_bad_frames;
   Support.Flight.record "frame.bad"
 
-let send _t fd ~cmd (resp : Sjson.t) : unit =
-  let status =
-    Option.value ~default:"?" (Sjson.str_member "status" resp)
-  in
-  Support.Metrics.incr m_requests ~labels:[ cmd; status ];
-  Frame.write_fd fd (Sjson.to_string resp)
+let send fd ~cmd (reply : reply) : unit =
+  Support.Metrics.incr m_requests ~labels:[ cmd; reply.status ];
+  Frame.write_fd fd reply.bytes
 
 (* ---------------- admin ops ------------------------------------------ *)
 
@@ -711,12 +696,13 @@ let dispatch t fd (req : Proto.request) : unit =
      path that never reaches a worker funnels through here *)
   let inline ?(stat = t.s_ok) resp =
     ignore (Atomic.fetch_and_add stat 1);
+    let reply = render resp in
     (* log before sending: by the time the client holds the response,
        its access-log line is already queryable *)
     let wall_ns = Int64.max 0L (Int64.sub (now_ns ()) admitted) in
     log_access t ~req_id ~id:req.Proto.id ~op:cmd ~queue_ns:0L ~attempts:0
-      ~resp ~wall_ns;
-    send t fd ~cmd resp
+      ~reply ~wall_ns;
+    send fd ~cmd reply
   in
   match req.Proto.cmd with
   | Proto.Ping -> inline (ping_response t ~req:req_id ~id:req.Proto.id)
@@ -781,7 +767,7 @@ let dispatch t fd (req : Proto.request) : unit =
             t.q_len <- t.q_len + 1;
             Condition.signal t.q_nonempty;
             Mutex.unlock t.qm;
-            send t fd ~cmd (take job.cell)
+            send fd ~cmd (take job.cell)
           end)
 
 (* Unparseable traffic still gets a request id: the E0502 response,
@@ -793,9 +779,10 @@ let answer_bad t fd ~(id : Sjson.t) msg : unit =
   let resp =
     Proto.error_response ~req:req_id ~id ~code:Support.Diag.Server_bad_frame msg
   in
-  log_access t ~req_id ~id ~op:"?" ~queue_ns:0L ~attempts:0 ~resp
+  let reply = render resp in
+  log_access t ~req_id ~id ~op:"?" ~queue_ns:0L ~attempts:0 ~reply
     ~wall_ns:(Int64.max 0L (Int64.sub (now_ns ()) t0));
-  send t fd ~cmd:"?" resp
+  send fd ~cmd:"?" reply
 
 let conn_loop t fd =
   let src = Frame.of_fd fd in
@@ -926,10 +913,7 @@ let start (cfg : config) : t =
       listen_fd;
       req_ids = Atomic.make 1;
       access_m = Mutex.create ();
-      access_buf = Array.make (max 16 cfg.access_log_cap) None;
-      access_start = 0;
-      access_len = 0;
-      access_dropped = 0;
+      access = Support.Ring.create cfg.access_log_cap;
       qm = Mutex.create ();
       q_nonempty = Condition.create ();
       queue = Queue.create ();
@@ -1021,10 +1005,11 @@ let stop (t : t) : unit =
     Mutex.unlock t.qm;
     List.iter
       (fun (job : job) ->
-        let resp =
-          Proto.error_response ~req:job.req_id ~id:job.req.Proto.id
-            ~code:Support.Diag.Server_draining
-            "server shut down before this request started"
+        let reply =
+          render
+            (Proto.error_response ~req:job.req_id ~id:job.req.Proto.id
+               ~code:Support.Diag.Server_draining
+               "server shut down before this request started")
         in
         let before () =
           ignore (Atomic.fetch_and_add t.s_rejected_draining 1);
@@ -1033,9 +1018,9 @@ let stop (t : t) : unit =
           in
           log_access t ~req_id:job.req_id ~id:job.req.Proto.id
             ~op:(Proto.cmd_name job.req.Proto.cmd) ~queue_ns:wall_ns
-            ~attempts:0 ~resp ~wall_ns
+            ~attempts:0 ~reply ~wall_ns
         in
-        ignore (fill ~before job.cell resp))
+        ignore (fill ~before job.cell reply))
       leftovers;
     (* 4. bounded wait for worker domains to exit, then deadline-kill
        whatever overstayed: fill its cell (W0503) so the client is

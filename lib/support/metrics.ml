@@ -55,17 +55,10 @@ type shard = { tbl : ((int * string list), cell) Hashtbl.t }
 let registry_lock = Mutex.create ()
 let families : family list ref = ref [] (* newest first *)
 let next_family_id = ref 0
-let shards : shard list ref = ref [] (* newest first *)
+let shards : shard Ring.Shards.t =
+  Ring.Shards.create (fun _ -> { tbl = Hashtbl.create 64 })
 
-let shard_key : shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let s = { tbl = Hashtbl.create 64 } in
-      Mutex.lock registry_lock;
-      shards := s :: !shards;
-      Mutex.unlock registry_lock;
-      s)
-
-let my_shard () = Domain.DLS.get shard_key
+let my_shard () = Ring.Shards.mine shards
 
 let register kind ?(labels = []) ~help name : family =
   Mutex.lock registry_lock;
@@ -156,9 +149,10 @@ let observe ?(labels = []) (h : histogram) v =
 
 let snapshot () : family list * shard list =
   Mutex.lock registry_lock;
-  let fams = List.rev !families and shs = !shards in
+  let fams = List.rev !families in
   Mutex.unlock registry_lock;
-  (List.sort (fun a b -> String.compare a.name b.name) fams, shs)
+  ( List.sort (fun a b -> String.compare a.name b.name) fams,
+    Ring.Shards.all shards )
 
 type merged = MScalar of float | MHist of hist_cell
 
@@ -223,9 +217,7 @@ let domain_counter_value ?(labels = []) (c : counter) : float =
   | _ -> 0.
 
 let reset () =
-  Mutex.lock registry_lock;
-  List.iter (fun (s : shard) -> Hashtbl.reset s.tbl) !shards;
-  Mutex.unlock registry_lock
+  List.iter (fun (s : shard) -> Hashtbl.reset s.tbl) (Ring.Shards.all shards)
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
@@ -314,20 +306,6 @@ let export_prometheus () : string =
     fams;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let export_json () : string =
   let fams, shs = snapshot () in
   let b = Buffer.create 4096 in
@@ -341,23 +319,22 @@ let export_json () : string =
           if not !first_f then Buffer.add_string b ",";
           first_f := false;
           Printf.bprintf b
-            "\n{\"name\":\"%s\",\"type\":\"%s\",\"help\":\"%s\",\"samples\":["
-            (json_escape f.name) (kind_name f.kind) (json_escape f.help);
+            "\n{\"name\":\"%a\",\"type\":\"%s\",\"help\":\"%a\",\"samples\":["
+            Json.escape_into f.name (kind_name f.kind) Json.escape_into f.help;
           List.iteri
             (fun i (values, m) ->
               if i > 0 then Buffer.add_string b ",";
-              let labels =
-                String.concat ","
-                  (List.map2
-                     (fun n v ->
-                       Printf.sprintf "\"%s\":\"%s\"" (json_escape n)
-                         (json_escape v))
-                     f.label_names values)
-              in
+              Buffer.add_string b "{\"labels\":{";
+              List.iteri
+                (fun j (n, v) ->
+                  if j > 0 then Buffer.add_char b ',';
+                  Printf.bprintf b "\"%a\":\"%a\"" Json.escape_into n
+                    Json.escape_into v)
+                (List.combine f.label_names values);
+              Buffer.add_char b '}';
               match (m, f.kind) with
               | MScalar v, _ ->
-                  Printf.bprintf b "{\"labels\":{%s},\"value\":%s}" labels
-                    (fmt_num v)
+                  Printf.bprintf b ",\"value\":%s}" (fmt_num v)
               | MHist hc, Histogram bounds ->
                   let buckets =
                     let cum = ref 0 in
@@ -374,10 +351,9 @@ let export_json () : string =
                             hc.hc_count;
                         ])
                   in
-                  Printf.bprintf b
-                    "{\"labels\":{%s},\"count\":%d,\"sum\":%s,\"buckets\":[%s]}"
-                    labels hc.hc_count (fmt_num hc.hc_sum) buckets
-              | MHist _, _ -> ())
+                  Printf.bprintf b ",\"count\":%d,\"sum\":%s,\"buckets\":[%s]}"
+                    hc.hc_count (fmt_num hc.hc_sum) buckets
+              | MHist _, _ -> Buffer.add_char b '}')
             rows;
           Buffer.add_string b "]}")
     fams;

@@ -32,51 +32,22 @@ type agg_cell = { mutable a_count : int; mutable a_total : int64 }
 
 type shard = {
   tid : int;
-  buf : event option array;  (** ring *)
-  mutable start : int;
-  mutable len : int;
-  mutable dropped : int;
+  ring : event Ring.t;
   aggs : (string, agg_cell) Hashtbl.t;
 }
 
 let ring_capacity = Atomic.make 32768
-let set_ring_capacity n = Atomic.set ring_capacity (max 16 n)
+let set_ring_capacity n = Atomic.set ring_capacity n
 
-let registry_lock = Mutex.create ()
-let shards : shard list ref = ref [] (* newest first *)
-let next_tid = Atomic.make 0
+let shards : shard Ring.Shards.t =
+  Ring.Shards.create (fun tid ->
+      {
+        tid;
+        ring = Ring.create (Atomic.get ring_capacity);
+        aggs = Hashtbl.create 32;
+      })
 
-let shard_key : shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let s =
-        {
-          tid = Atomic.fetch_and_add next_tid 1;
-          buf = Array.make (Atomic.get ring_capacity) None;
-          start = 0;
-          len = 0;
-          dropped = 0;
-          aggs = Hashtbl.create 32;
-        }
-      in
-      Mutex.lock registry_lock;
-      shards := s :: !shards;
-      Mutex.unlock registry_lock;
-      s)
-
-let my_shard () = Domain.DLS.get shard_key
-
-let record (s : shard) (ev : event) =
-  let cap = Array.length s.buf in
-  if s.len < cap then begin
-    s.buf.((s.start + s.len) mod cap) <- Some ev;
-    s.len <- s.len + 1
-  end
-  else begin
-    (* full: overwrite the oldest *)
-    s.buf.(s.start) <- Some ev;
-    s.start <- (s.start + 1) mod cap;
-    s.dropped <- s.dropped + 1
-  end
+let my_shard () = Ring.Shards.mine shards
 
 let bump_agg (s : shard) name dur =
   match Hashtbl.find_opt s.aggs name with
@@ -95,7 +66,7 @@ let span_hist =
 let close_span (s : shard) ~cat ~args name t0 =
   let t1 = now_ns () in
   let dur = Int64.max 0L (Int64.sub t1 t0) in
-  record s
+  Ring.push s.ring
     { ev_name = name; ev_cat = cat; ev_ph = 'X'; ev_ts = t0; ev_dur = dur;
       ev_args = args };
   bump_agg s name dur;
@@ -120,118 +91,77 @@ let with_span ?(cat = "app") ?(args = []) name f =
 
 let instant ?(cat = "app") ?(args = []) name =
   if Atomic.get enabled_flag then
-    let s = my_shard () in
-    record s
+    Ring.push (my_shard ()).ring
       { ev_name = name; ev_cat = cat; ev_ph = 'i'; ev_ts = now_ns ();
         ev_dur = 0L; ev_args = args }
 
 let dropped_total () =
-  Mutex.lock registry_lock;
-  let shs = !shards in
-  Mutex.unlock registry_lock;
-  List.fold_left (fun acc (s : shard) -> acc + s.dropped) 0 shs
+  List.fold_left
+    (fun acc (s : shard) -> acc + Ring.dropped s.ring)
+    0 (Ring.Shards.all shards)
 
 let reset () =
-  Mutex.lock registry_lock;
   List.iter
     (fun (s : shard) ->
-      Array.fill s.buf 0 (Array.length s.buf) None;
-      s.start <- 0;
-      s.len <- 0;
-      s.dropped <- 0;
+      Ring.clear s.ring;
       Hashtbl.reset s.aggs)
-    !shards;
-  Mutex.unlock registry_lock
+    (Ring.Shards.all shards)
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* chrome trace timestamps are microseconds; keep nanosecond precision
    as three decimals so the injected-clock exports stay exact *)
 let ts_us ns = Printf.sprintf "%Ld.%03Ld" (Int64.div ns 1000L) (Int64.rem ns 1000L)
 
-let event_line (tid : int) (ev : event) : string =
-  let args =
-    match ev.ev_args with
-    | [] -> ""
-    | l ->
-        ",\"args\":{"
-        ^ String.concat ","
-            (List.map
-               (fun (k, v) ->
-                 Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-               l)
-        ^ "}"
-  in
-  let dur =
-    if ev.ev_ph = 'X' then Printf.sprintf ",\"dur\":%s" (ts_us ev.ev_dur)
-    else ""
-  in
-  let scope = if ev.ev_ph = 'i' then ",\"s\":\"t\"" else "" in
-  Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"pid\":1,\"tid\":%d,\"ts\":%s%s%s%s}"
-    (json_escape ev.ev_name) (json_escape ev.ev_cat) ev.ev_ph tid
-    (ts_us ev.ev_ts) dur scope args
-
-let shard_events (s : shard) : event list =
-  let cap = Array.length s.buf in
-  let out = ref [] in
-  for i = s.len - 1 downto 0 do
-    match s.buf.((s.start + i) mod cap) with
-    | Some ev -> out := ev :: !out
-    | None -> ()
-  done;
-  !out
+let add_event b (tid : int) (ev : event) =
+  Printf.bprintf b
+    "{\"name\":\"%a\",\"cat\":\"%a\",\"ph\":\"%c\",\"pid\":1,\"tid\":%d,\"ts\":%s"
+    Json.escape_into ev.ev_name Json.escape_into ev.ev_cat ev.ev_ph tid
+    (ts_us ev.ev_ts);
+  if ev.ev_ph = 'X' then Printf.bprintf b ",\"dur\":%s" (ts_us ev.ev_dur)
+  else Buffer.add_string b ",\"s\":\"t\"";
+  if ev.ev_args <> [] then begin
+    Buffer.add_string b ",\"args\":{";
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char b ',';
+        Printf.bprintf b "\"%a\":\"%a\"" Json.escape_into k Json.escape_into v)
+      ev.ev_args;
+    Buffer.add_char b '}'
+  end;
+  Buffer.add_char b '}'
 
 let export_chrome () : string =
-  Mutex.lock registry_lock;
-  let shs = List.rev !shards in
-  Mutex.unlock registry_lock;
   let shs =
-    List.sort (fun (a : shard) b -> compare a.tid b.tid)
-      (List.filter (fun (s : shard) -> s.len > 0 || s.dropped > 0) shs)
+    List.filter
+      (fun (s : shard) -> Ring.length s.ring > 0 || Ring.dropped s.ring > 0)
+      (Ring.Shards.all shards)
   in
   let b = Buffer.create 8192 in
   Buffer.add_string b "[";
   let first = ref true in
-  let emit line =
-    if !first then Buffer.add_string b "\n" else Buffer.add_string b ",\n";
+  let emit tid ev =
+    Buffer.add_string b (if !first then "\n" else ",\n");
     first := false;
-    Buffer.add_string b line
+    add_event b tid ev
   in
   List.iter
     (fun (s : shard) ->
-      let events = shard_events s in
-      (if s.dropped > 0 then
-         let ts =
-           match events with ev :: _ -> ev.ev_ts | [] -> 0L
-         in
-         emit
-           (event_line s.tid
-              {
-                ev_name = "trace_dropped";
-                ev_cat = "trace";
-                ev_ph = 'i';
-                ev_ts = ts;
-                ev_dur = 0L;
-                ev_args = [ ("dropped", string_of_int s.dropped) ];
-              }));
-      List.iter (fun ev -> emit (event_line s.tid ev)) events)
+      let events = Ring.to_list s.ring in
+      (if Ring.dropped s.ring > 0 then
+         let ts = match events with ev :: _ -> ev.ev_ts | [] -> 0L in
+         emit s.tid
+           {
+             ev_name = "trace_dropped";
+             ev_cat = "trace";
+             ev_ph = 'i';
+             ev_ts = ts;
+             ev_dur = 0L;
+             ev_args = [ ("dropped", string_of_int (Ring.dropped s.ring)) ];
+           });
+      List.iter (emit s.tid) events)
     shs;
   Buffer.add_string b "\n]\n";
   Buffer.contents b
@@ -243,9 +173,6 @@ let export_chrome () : string =
 type agg = { agg_name : string; agg_count : int; agg_total_ns : int64 }
 
 let aggregates () : agg list =
-  Mutex.lock registry_lock;
-  let shs = !shards in
-  Mutex.unlock registry_lock;
   let acc : (string, agg_cell) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun (s : shard) ->
@@ -259,7 +186,7 @@ let aggregates () : agg list =
               Hashtbl.replace acc name
                 { a_count = c.a_count; a_total = c.a_total })
         s.aggs)
-    shs;
+    (Ring.Shards.all shards);
   List.sort
     (fun a b ->
       match Int64.compare b.agg_total_ns a.agg_total_ns with

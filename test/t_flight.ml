@@ -83,8 +83,26 @@ let dump_cases =
 
 (* ---------------- exact drop accounting ------------------------------- *)
 
+(* The ring behind every recorder: for any capacity c >= 16 and n
+   pushes, the last min(n, c) pushes survive in order and the rest are
+   counted as dropped. *)
+let ring_window =
+  QCheck.Test.make ~count:300
+    ~name:"ring keeps the last min(n, c) pushes and counts the rest"
+    QCheck.(pair (int_range 16 64) (int_bound 200))
+    (fun (c, n) ->
+      let r = Support.Ring.create c in
+      for i = 1 to n do
+        Support.Ring.push r i
+      done;
+      let kept = min n c in
+      Support.Ring.to_list r = List.init kept (fun j -> n - kept + 1 + j)
+      && Support.Ring.length r = kept
+      && Support.Ring.dropped r = max 0 (n - c))
+
 let overflow_cases =
   [
+    QCheck_alcotest.to_alcotest ring_window;
     case "ring overflow keeps the newest window, counts drops exactly"
       (fun () ->
         with_flight @@ fun () ->

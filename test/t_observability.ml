@@ -238,6 +238,36 @@ let tracecat_accepts =
                 (List.length events >= 3)
           | Error msg -> Alcotest.fail ("validate rejected a real trace: " ^ msg)))
 
+let tracecat_escapes =
+  case "tracecat validates escaped span args, which decode back" (fun () ->
+      with_tracing (fun () ->
+          Support.Trace.reset ();
+          let odd = String.init 32 Char.chr ^ "\"\\/\xC3\xA9\xE2\x9C\x93" in
+          let name = "span " ^ odd in
+          let args = [ ("key " ^ odd, odd); ("plain", "x") ] in
+          Support.Trace.with_span ~args name (fun () -> ());
+          let text = Support.Trace.export_chrome () in
+          (match Tracecat_lib.validate text with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.fail ("validate rejected escaped args: " ^ msg));
+          let decoded =
+            match Support.Json.parse text with
+            | Support.Json.List evs ->
+                List.find_map
+                  (fun ev ->
+                    if Support.Json.str_member "name" ev = Some name then
+                      Support.Json.member "args" ev
+                    else None)
+                  evs
+            | _ -> None
+          in
+          Alcotest.(check bool)
+            "args decode back" true
+            (decoded
+            = Some
+                (Support.Json.Obj
+                   (List.map (fun (k, v) -> (k, Support.Json.Str v)) args)))))
+
 let tracecat_rejects =
   case "tracecat rejects malformed and overlapping traces" (fun () ->
       let invalid text =
@@ -380,6 +410,7 @@ let suite =
     clock_determinism;
     findings_unchanged;
     tracecat_accepts;
+    tracecat_escapes;
     tracecat_rejects;
     oracle_smoke;
     profile_aggregates;

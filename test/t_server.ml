@@ -64,6 +64,50 @@ let fuel_hungry_src =
 
 (* ---------------- wire codec ---------------------------------------- *)
 
+(* Values whose strings mix every control byte, the characters with
+   short escapes, and two-, three- and four-byte UTF-8. Numbers are
+   quarter-integers, which the printer renders exactly. *)
+let sjson_gen =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [
+        map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f);
+        oneofl
+          [ "\""; "\\"; "/"; "a"; "\x7f"; "\xC3\xA9"; "\xE2\x9C\x93";
+            "\xF0\x9F\x98\x80" ];
+      ]
+  in
+  let str = map (String.concat "") (list_size (int_bound 8) piece) in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Sjson.Null;
+               map (fun b -> Sjson.Bool b) bool;
+               map (fun i -> Sjson.Num (float_of_int i /. 4.)) small_signed_int;
+               map (fun s -> Sjson.Str s) str;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map (fun l -> Sjson.List l)
+                   (list_size (int_bound 4) (self (n / 4))) );
+               ( 1,
+                 map (fun kvs -> Sjson.Obj kvs)
+                   (list_size (int_bound 4) (pair str (self (n / 4)))) );
+             ])
+
+let sjson_round_trip =
+  QCheck.Test.make ~count:500 ~name:"sjson parse (to_string v) = v"
+    (QCheck.make ~print:Sjson.to_string sjson_gen)
+    (fun v -> Sjson.parse (Sjson.to_string v) = v)
+
 let sjson_cases =
   [
     case "sjson round-trips a nested value" (fun () ->
@@ -79,6 +123,7 @@ let sjson_cases =
         Alcotest.(check bool)
           "parse (to_string v) = v" true
           (Sjson.parse (Sjson.to_string v) = v));
+    QCheck_alcotest.to_alcotest sjson_round_trip;
     case "sjson rejects trailing garbage" (fun () ->
         Alcotest.(check bool)
           "trailing" true
