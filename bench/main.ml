@@ -819,7 +819,6 @@ let adversarial_sweep () =
       Rustudy.Supervisor.per_entry_deadline_ms = Some 0;
       retry = { Rustudy.Retry.default with Rustudy.Retry.max_attempts = 2 };
       sleep = (fun _ -> ());
-      watchdog_interval_ms = 0;
     }
   in
   Study.Classify.analyze_entries_supervised ~config slice

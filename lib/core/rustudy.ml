@@ -32,6 +32,7 @@ module Domain_pool = Support.Domain_pool
 module Fuel = Support.Fuel
 module Fault = Support.Fault
 module Deadline = Support.Deadline
+module Budget = Support.Budget
 module Retry = Support.Retry
 module Supervisor = Support.Supervisor
 module Journal = Support.Journal

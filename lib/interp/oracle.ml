@@ -114,7 +114,7 @@ let run ?entry ?(fuel = default_fuel) ?(deadline_ms = default_deadline_ms)
       ~args:[ ("entry", entry); ("schedule", string_of_int index) ]
       "oracle.schedule"
     @@ fun () ->
-    Deadline.with_deadline_ms deadline_ms (fun () ->
+    fst @@ Budget.run ~deadline_ms (fun () ->
         Machine.run ~entry ~max_steps:fuel
           ~sched:(Sched.make ~seed ~index)
           prog)

@@ -17,9 +17,9 @@
     - every worker is watched by a {b monitor thread} that joins it
       and respawns it if it died mid-request ([W0503] to the caller);
     - per-request budgets ([deadline_ms], [fuel]) are installed
-      scoped-per-domain, and {b reset between requests}
-      ({!Support.Deadline.reset} / {!Support.Fuel.reset_domain}) so a
-      leaked budget can never bleed across requests;
+      scoped-per-domain by {!Support.Budget.run}, and {b reset between
+      requests} ({!Support.Deadline.reset} / {!Support.Fuel.reset_domain})
+      so a leaked budget can never bleed across requests;
     - a graceful {b drain} (SIGTERM or a [shutdown] request) stops
       accepting, lets in-flight work finish inside [drain_ms], rejects
       what never started ([W0504]), severs what overstayed ([W0503]),
@@ -354,8 +354,10 @@ let run_handler t (req : Proto.request) : Proto.outcome =
   | Proto.Detect -> Handlers.detect_eval ~domains:t.cfg.handler_domains ()
   | Proto.Study -> Handlers.study ~domains:t.cfg.handler_domains ()
 
-let run_attempt t (req : Proto.request) ~req_id ~attempt
-    ~(timed_out : bool ref) : Proto.outcome =
+(* The handler's outcome, and whether it ran past its deadline (its
+   fixpoints degraded en route). *)
+let run_attempt t (req : Proto.request) ~req_id ~attempt :
+    Proto.outcome * bool =
   (match t.cfg.before_handle with Some h -> h req ~attempt | None -> ());
   Support.Flight.record "req.attempt"
     ~fields:
@@ -364,21 +366,13 @@ let run_attempt t (req : Proto.request) ~req_id ~attempt
         ("cmd", Proto.cmd_name req.Proto.cmd);
         ("attempt", string_of_int attempt);
       ];
-  let with_dl f =
+  let deadline_ms =
     (* an explicit per-request deadline always installs (0 forces an
        already-expired one — deterministic timeouts for tests and the
        bench); the config default applies only when positive *)
     match req.Proto.deadline_ms with
-    | Some ms -> Support.Deadline.with_deadline_ms ms f
-    | None ->
-        if t.cfg.default_deadline_ms > 0 then
-          Support.Deadline.with_deadline_ms t.cfg.default_deadline_ms f
-        else f ()
-  in
-  let with_fuel f =
-    match req.Proto.fuel with
-    | Some n -> Support.Fuel.with_domain_budget n f
-    | None -> f ()
+    | None when t.cfg.default_deadline_ms > 0 -> Some t.cfg.default_deadline_ms
+    | d -> d
   in
   (* spans are recorded here on the worker domain, never on the shared
      connection threads: every worker owns its trace track, so spans
@@ -391,15 +385,8 @@ let run_attempt t (req : Proto.request) ~req_id ~attempt
         ("attempt", string_of_int attempt);
       ]
     (fun () ->
-      with_dl (fun () ->
-          with_fuel (fun () ->
-              let o = run_handler t req in
-              (* the token is minted inside the deadline scope: expired
-                 here means the handler ran past its budget (and its
-                 fixpoints degraded en route) *)
-              let tok = Support.Deadline.token () in
-              if Support.Deadline.expired tok then timed_out := true;
-              o)))
+      Support.Budget.run ?deadline_ms ?fuel:req.Proto.fuel (fun () ->
+          run_handler t req))
 
 let handle_job t (job : job) : unit =
   let req = job.req in
@@ -409,7 +396,6 @@ let handle_job t (job : job) : unit =
      worker, a fuel override — dies here, not in this request *)
   Support.Deadline.reset ();
   Support.Fuel.reset_domain ();
-  let timed_out = ref false in
   let attempts = ref 0 in
   let t0 = now_ns () in
   let queue_ns = Int64.max 0L (Int64.sub t0 job.admitted_ns) in
@@ -424,8 +410,8 @@ let handle_job t (job : job) : unit =
     Support.Retry.run policy ~key:(Proto.cmd_name req.Proto.cmd)
       (fun ~attempt ->
         attempts := attempt;
-        match run_attempt t req ~req_id ~attempt ~timed_out with
-        | o -> Ok o
+        match run_attempt t req ~req_id ~attempt with
+        | r -> Ok r
         | exception Kill_worker -> raise Kill_worker
         | exception e -> Error (Printexc.to_string e))
   in
@@ -433,7 +419,10 @@ let handle_job t (job : job) : unit =
     ignore (Atomic.fetch_and_add t.s_retried (!attempts - 1));
     Support.Metrics.incr m_retries ~by:(float_of_int (!attempts - 1))
   end;
-  if !timed_out then begin
+  let timed_out =
+    match result with Ok (_, expired) -> expired | Error _ -> false
+  in
+  if timed_out then begin
     ignore (Atomic.fetch_and_add t.s_timeouts 1);
     Support.Flight.record "req.deadline_hit"
       ~fields:[ ("req", string_of_int req_id) ]
@@ -458,7 +447,7 @@ let handle_job t (job : job) : unit =
     ignore (fill ~before job.cell reply)
   in
   match result with
-  | Ok outcome ->
+  | Ok (outcome, _) ->
       journal_store t ~req_id req outcome;
       finish (Proto.ok_response ~req:req_id ~id:req.Proto.id outcome)
         ~stat:t.s_ok

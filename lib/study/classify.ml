@@ -185,24 +185,23 @@ type outcome =
 
 (** Analyze one entry without ever raising: frontend errors degrade,
     anything escaping the rest of the pipeline fails the entry. Runs
-    under the process default wall-clock budget, so [--deadline-ms]
-    bounds even the unsupervised sweep. *)
+    under whatever budget its caller installed: the supervisor's
+    per-entry deadline, or the process default in {!analyze_entries}. *)
 let analyze_entry_result_plain (entry : Corpus.entry) : outcome =
-  Support.Deadline.with_default_budget (fun () ->
-      match
-        Analysis.Cache.load_ctx_recovering ~file:(entry.Corpus.id ^ ".rs")
-          entry.Corpus.source
-      with
-      | Error e -> Failed (Printexc.to_string e)
-      | Ok ctx -> (
-          match analysis_of_ctx entry ctx with
-          | exception e -> Failed (Printexc.to_string e)
-          | a -> (
-              (* read the context diagnostics only now: fuel exhaustion
-                 during the detector runs lands there too *)
-              match Analysis.Cache.diags ctx with
-              | [] -> Analyzed a
-              | ds -> Degraded (a, ds))))
+  match
+    Analysis.Cache.load_ctx_recovering ~file:(entry.Corpus.id ^ ".rs")
+      entry.Corpus.source
+  with
+  | Error e -> Failed (Printexc.to_string e)
+  | Ok ctx -> (
+      match analysis_of_ctx entry ctx with
+      | exception e -> Failed (Printexc.to_string e)
+      | a -> (
+          (* read the context diagnostics only now: fuel exhaustion
+             during the detector runs lands there too *)
+          match Analysis.Cache.diags ctx with
+          | [] -> Analyzed a
+          | ds -> Degraded (a, ds)))
 
 (* ---------------- per-entry provenance ------------------------------ *)
 
@@ -361,10 +360,16 @@ let outcome_analysis = function
 
 (** Fault-tolerant corpus sweep: one outcome per entry, in input order.
     A crashing worker is confined to its own slot ([Failed]); every
-    other entry is still analyzed. Never raises. *)
+    other entry is still analyzed. Each entry runs under the process
+    default wall-clock budget, so [--deadline-ms] bounds even the
+    unsupervised sweep. Never raises. *)
 let analyze_entries ?domains (entries : Corpus.entry list) :
     (Corpus.entry * outcome) list =
-  Support.Domain_pool.try_map ?domains ~f:analyze_entry_result entries
+  let deadline_ms = Support.Budget.default_deadline_ms () in
+  Support.Domain_pool.try_map ?domains
+    ~f:(fun e ->
+      fst (Support.Budget.run ?deadline_ms (fun () -> analyze_entry_result e)))
+    entries
   |> List.map2
        (fun e r ->
          ( e,

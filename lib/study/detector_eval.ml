@@ -25,7 +25,8 @@ let verdict (t : Corpus.Detector_targets.target) :
   (* the process default wall-clock budget applies here too: a
      timed-out target degrades (and counts as "no finding") instead of
      holding the evaluation hostage *)
-  Support.Deadline.with_default_budget (fun () ->
+  let deadline_ms = Support.Budget.default_deadline_ms () in
+  fst @@ Support.Budget.run ?deadline_ms (fun () ->
       match
         Analysis.Cache.load_ctx_recovering
           ~file:(t.Corpus.Detector_targets.t_id ^ ".rs")

@@ -55,41 +55,37 @@ type target_verdict =
 
 let sweep_one ~fuel ~deadline_ms ~schedules ~seed (id, source) : target_verdict
     =
-  (* budget hygiene: the oracle gets its own fuel/deadline scope and
-     both are reset afterwards, so a budget this target exhausts can
-     never leak into the next target or a later [check] run *)
-  let finally () =
-    Support.Deadline.reset ();
-    Support.Fuel.reset_domain ()
-  in
-  Fun.protect ~finally (fun () ->
-      Support.Fuel.with_domain_budget Support.Fuel.default_budget (fun () ->
-          match
-            Analysis.Cache.load_ctx_recovering ~cache:false
-              ~file:(id ^ ".rs") source
-          with
-          | Error e -> Error (id ^ ": " ^ Printexc.to_string e)
-          | exception e -> Error (id ^ ": " ^ Printexc.to_string e)
-          | Ok ctx -> (
-              try
-                let findings = Detectors.All.bugs_ctx ctx in
-                let prog = Analysis.Cache.program ctx in
-                let oracle =
-                  Interp.Oracle.run ~fuel ~deadline_ms ~schedules ~seed prog
-                in
-                Ok
-                  ( id,
-                    List.map
-                      (fun (c, v) ->
-                        let fired =
-                          List.exists
-                            (fun (f : Detectors.Report.finding) ->
-                              f.Detectors.Report.kind = kind_of_class c)
-                            findings
-                        in
-                        (fired, v))
-                      oracle.Interp.Oracle.verdicts )
-              with e -> Error (id ^ ": " ^ Printexc.to_string e))))
+  (* budget hygiene: the target gets its own fuel scope, and the
+     caller's deadline and fuel are restored afterwards, so a budget
+     this target exhausts can never leak into the next target or a
+     later [check] run *)
+  fst @@ Support.Budget.run ~fuel:Support.Fuel.default_budget (fun () ->
+      match
+        Analysis.Cache.load_ctx_recovering ~cache:false
+          ~file:(id ^ ".rs") source
+      with
+      | Error e -> Error (id ^ ": " ^ Printexc.to_string e)
+      | exception e -> Error (id ^ ": " ^ Printexc.to_string e)
+      | Ok ctx -> (
+          try
+            let findings = Detectors.All.bugs_ctx ctx in
+            let prog = Analysis.Cache.program ctx in
+            let oracle =
+              Interp.Oracle.run ~fuel ~deadline_ms ~schedules ~seed prog
+            in
+            Ok
+              ( id,
+                List.map
+                  (fun (c, v) ->
+                    let fired =
+                      List.exists
+                        (fun (f : Detectors.Report.finding) ->
+                          f.Detectors.Report.kind = kind_of_class c)
+                        findings
+                    in
+                    (fired, v))
+                  oracle.Interp.Oracle.verdicts )
+          with e -> Error (id ^ ": " ^ Printexc.to_string e)))
 
 let mutant_targets (e : Corpus.entry) =
   List.map

@@ -3,12 +3,12 @@
 
     Mirrors the [Fuel] design: the budget is ambient process/domain
     state rather than a parameter threaded through every signature. A
-    driver wraps per-entry work in {!with_deadline_ms} (or
-    {!with_default_budget}, honouring the CLI [--deadline-ms]
-    override); each fixpoint then mints a {!token} and polls
-    {!expired} once per iteration, stopping early and reporting an
-    incomplete result when the wall clock runs past the deadline —
-    the time-domain analogue of an exhausted fuel budget.
+    driver wraps per-entry work in [Budget.run] (which installs the
+    scope through {!with_deadline_ms}); each fixpoint then mints a
+    {!token} and polls {!expired} once per iteration, stopping early
+    and reporting an incomplete result when the wall clock runs past
+    the deadline — the time-domain analogue of an exhausted fuel
+    budget.
 
     Time comes from the monotonic clock ([Monotonic_clock.now],
     nanoseconds), so deadlines are immune to wall-clock adjustments.
@@ -56,9 +56,6 @@ let with_deadline_ms ms f =
   in
   Domain.DLS.set key eff;
   Fun.protect ~finally:(fun () -> Domain.DLS.set key outer) f
-
-let with_default_budget f =
-  match Atomic.get default_ms with 0 -> f () | ms -> with_deadline_ms ms f
 
 (* ---------------- per-run tokens ------------------------------------ *)
 

@@ -2,7 +2,8 @@
     analyses and the corpus drivers (the time-domain analogue of
     {!Fuel}).
 
-    A driver wraps per-entry work in {!with_deadline_ms}; each
+    A driver wraps per-entry work in {!Budget.run}, the only caller of
+    {!with_deadline_ms} outside tests; each
     fixpoint mints a {!token} and polls {!expired} once per iteration,
     stopping early with an incomplete result when the monotonic clock
     runs past the deadline. With no ambient deadline installed every
@@ -18,11 +19,8 @@ val get_default_ms : unit -> int
 
 val set_default_ms : int -> unit
 (** Set the process-wide default (the CLI [--deadline-ms] override).
-    Values [<= 0] disable it. Atomic: visible to all domains. *)
-
-val with_default_budget : (unit -> 'a) -> 'a
-(** Run [f] under {!with_deadline_ms}[ (get_default_ms ())], or plain
-    [f ()] when no default budget is set. *)
+    Values [<= 0] disable it. Atomic: visible to all domains.
+    {!Budget.default_deadline_ms} reads it. *)
 
 (** {1 Ambient per-domain deadline} *)
 

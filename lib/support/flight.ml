@@ -53,10 +53,11 @@ let reset () = List.iter (fun s -> Ring.clear s.ring) (Ring.Shards.all shards)
 
 let add_event b (dom : int) (ev : event) =
   Printf.bprintf b "{\"ts\":%Ld,\"dom\":%d,\"kind\":\"%a\"" ev.f_ts dom
-    Json.escape_into ev.f_kind;
+    Json.escape_lossy_into ev.f_kind;
   List.iter
     (fun (k, v) ->
-      Printf.bprintf b ",\"%a\":\"%a\"" Json.escape_into k Json.escape_into v)
+      Printf.bprintf b ",\"%a\":\"%a\"" Json.escape_lossy_into k
+        Json.escape_lossy_into v)
     ev.f_fields;
   Buffer.add_string b "}\n"
 

@@ -36,10 +36,10 @@ let with_budget n f =
 (* [with_budget] mutates the process-wide atomic, so two concurrent
    requests on different domains clobber each other's budgets (the CAS
    restore only protects against lost [set]s, not against the other
-   request reading the wrong value mid-scope). Long-lived multi-domain
-   processes — the analysis server — scope a request's budget to its
-   worker domain instead: the override shadows the global budget on
-   this domain only and other domains never see it. *)
+   request reading the wrong value mid-scope). [Budget.run] scopes a
+   unit of work's budget to its domain instead: the override shadows
+   the global budget on this domain only and other domains never see
+   it. *)
 let domain_key : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let domain_budget () = Domain.DLS.get domain_key

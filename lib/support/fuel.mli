@@ -30,10 +30,11 @@ val with_budget : int -> (unit -> 'a) -> 'a
 (** {1 Per-domain override}
 
     {!with_budget} mutates the process-wide atomic, so two concurrent
-    requests on different domains would clobber each other. The
-    analysis server scopes a request's budget to its worker domain
-    instead: the override shadows the global budget on the calling
-    domain only. *)
+    requests on different domains would clobber each other. A unit of
+    work (a served request, an oracle target) scopes its budget to its
+    domain instead, through {!Budget.run}, the only caller of
+    {!with_domain_budget} outside tests: the override shadows the
+    global budget on the calling domain only. *)
 
 val with_domain_budget : int -> (unit -> 'a) -> 'a
 (** Run [f] with this domain's fuel budget set to [n] ([<= 0] means

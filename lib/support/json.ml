@@ -224,6 +224,22 @@ let escape_into b s =
       | c -> Buffer.add_char b c)
     s
 
+let escape_lossy_into b s =
+  if utf8_valid s then escape_into b s
+  else begin
+    let r = Buffer.create (String.length s + 8) in
+    let rec go i =
+      if i < String.length s then begin
+        (* an ill-formed sequence decodes to U+FFFD *)
+        let d = String.get_utf_8_uchar s i in
+        Buffer.add_utf_8_uchar r (Uchar.utf_decode_uchar d);
+        go (i + Uchar.utf_decode_length d)
+      end
+    in
+    go 0;
+    escape_into b (Buffer.contents r)
+  end
+
 (* Integral floats print as integers (request ids, exit codes, counts
    — everything the protocol actually carries); everything else gets a
    fixed shortest-ish form. Deterministic either way. *)

@@ -36,13 +36,16 @@ val to_string : t -> string
 (** Deterministic printer: no whitespace, object keys in insertion
     order, integral numbers printed without a fractional part. *)
 
-val escape_into : Buffer.t -> string -> unit
-(** [escape_into b s] appends the body of a JSON string literal (no
-    quotes) for the bytes of [s], escaped exactly as {!to_string}
-    escapes them: quote, backslash, newline, carriage return and tab
-    get their short escapes, other control bytes a [u00XX] escape,
-    everything else is copied. Writers that stream JSON without
-    building a {!t} use this. *)
+val escape_lossy_into : Buffer.t -> string -> unit
+(** [escape_lossy_into b s] appends the body of a JSON string literal
+    (no quotes) for [s], escaped exactly as {!to_string} escapes it:
+    quote, backslash, newline, carriage return and tab get their short
+    escapes, other control bytes a [u00XX] escape, well-formed UTF-8
+    is copied. Unlike {!to_string}, each ill-formed UTF-8 sequence is
+    written as U+FFFD, so the output is always valid JSON. The
+    telemetry writers (trace, flight recorder, metrics) stream JSON
+    with this: their strings come from program input such as file
+    names, which need not be UTF-8. *)
 
 val member : string -> t -> t option
 (** First binding of a key in an object; [None] for non-objects. *)

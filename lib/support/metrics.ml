@@ -320,7 +320,8 @@ let export_json () : string =
           first_f := false;
           Printf.bprintf b
             "\n{\"name\":\"%a\",\"type\":\"%s\",\"help\":\"%a\",\"samples\":["
-            Json.escape_into f.name (kind_name f.kind) Json.escape_into f.help;
+            Json.escape_lossy_into f.name (kind_name f.kind)
+            Json.escape_lossy_into f.help;
           List.iteri
             (fun i (values, m) ->
               if i > 0 then Buffer.add_string b ",";
@@ -328,8 +329,8 @@ let export_json () : string =
               List.iteri
                 (fun j (n, v) ->
                   if j > 0 then Buffer.add_char b ',';
-                  Printf.bprintf b "\"%a\":\"%a\"" Json.escape_into n
-                    Json.escape_into v)
+                  Printf.bprintf b "\"%a\":\"%a\"" Json.escape_lossy_into n
+                    Json.escape_lossy_into v)
                 (List.combine f.label_names values);
               Buffer.add_char b '}';
               match (m, f.kind) with

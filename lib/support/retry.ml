@@ -23,8 +23,6 @@ let default =
     seed = 0x5EED;
   }
 
-let no_retry = { default with max_attempts = 1 }
-
 (** Backoff before [attempt] (numbered from 1; the first retry is
     attempt 2). Deterministic in [(p.seed, key, attempt)]. *)
 let delay_ms (p : policy) ~key ~attempt : float =

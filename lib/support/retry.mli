@@ -13,9 +13,6 @@ type policy = {
 val default : policy
 (** 3 attempts, 50 ms base, x2 growth, 25% jitter, seed [0x5EED]. *)
 
-val no_retry : policy
-(** [default] with a single attempt (retries disabled). *)
-
 val delay_ms : policy -> key:string -> attempt:int -> float
 (** Backoff in milliseconds before [attempt] (numbered from 1; the
     first retry is attempt 2, so [attempt <= 1] is [0.]).

@@ -1,34 +1,31 @@
-(** Corpus supervisor: deadline-governed, self-healing driver over a
-    [Domain_pool]-style worker fleet.
+(** Corpus supervisor: deadline-governed, self-healing driver over the
+    [Domain_pool] worker pool.
 
-    Sits between the corpus sweep and raw [Domain_pool.try_map]:
-    per-item work runs under the per-entry wall-clock budget
-    ([Deadline]), failed and timed-out items are retried with seeded
-    exponential backoff ([Retry]), items that exhaust their attempt
-    budget are quarantined (circuit breaker) instead of poisoning the
-    run, a whole-run deadline skips the remainder rather than
-    over-running, and a watchdog domain samples per-worker heartbeats
-    to spot workers stuck past any cooperative deadline.
+    Sits between the corpus sweep and raw [Domain_pool.map]: per-item
+    work runs under the per-entry wall-clock budget ([Budget.run]),
+    failed and timed-out items are retried with seeded exponential
+    backoff ([Retry]), items that exhaust their attempt budget are
+    quarantined (circuit breaker) instead of poisoning the run, a
+    whole-run deadline skips the remainder rather than over-running,
+    and an attempt that completes far past any cooperative deadline is
+    counted as a stuck mark.
 
     Retries are round-based: round [k] runs attempt [k] of every item
     still pending, so the result list and the set of quarantined items
     are deterministic whenever the underlying failures are (the only
-    timing-dependent outputs are timeout-driven verdicts and the
-    watchdog's stuck marks). Results come back positionally, in input
-    order. *)
+    timing-dependent outputs are timeout-driven verdicts and the stuck
+    marks). Results come back positionally, in input order. *)
 
 type config = {
   domains : int option;
       (** worker-pool size (default [Domain_pool.default_domains]) *)
   per_entry_deadline_ms : int option;
       (** wall-clock budget installed around each attempt; [None]
-          falls back to [Deadline.with_default_budget] *)
+          falls back to [Budget.default_deadline_ms] *)
   run_deadline_ms : int option;
       (** whole-run budget: items not started before it expires are
           [Skipped], never silently dropped *)
   retry : Retry.policy;
-  watchdog_interval_ms : int;
-      (** heartbeat sampling period; [<= 0] disables the watchdog *)
   sleep : float -> unit;
       (** milliseconds; injectable so tests run without real delays *)
 }
@@ -41,7 +38,6 @@ let default_config =
     per_entry_deadline_ms = None;
     run_deadline_ms = None;
     retry = Retry.default;
-    watchdog_interval_ms = 50;
     sleep = default_sleep;
   }
 
@@ -74,7 +70,7 @@ let m_timeouts =
 
 let m_stuck =
   Metrics.counter
-    ~help:"Watchdog sightings of a worker busy past the grace window."
+    ~help:"Attempts that completed past the stuck threshold."
     "rustudy_supervisor_stuck_marks_total"
 
 type stats = {
@@ -85,8 +81,8 @@ type stats = {
   quarantined : int;
   skipped : int;
   stuck_marks : int;
-      (** watchdog sightings of a worker busy past the grace window
-          (timing-dependent; diagnostics only) *)
+      (** entries with an attempt that completed past the stuck
+          threshold (timing-dependent; diagnostics only) *)
 }
 
 let run (type a b) ?(config = default_config)
@@ -97,11 +93,11 @@ let run (type a b) ?(config = default_config)
   let n = Array.length arr in
   let final : b verdict option array = Array.make n None in
   let errors : string list array = Array.make n [] (* newest first *) in
-  let retried = Atomic.make 0
-  and timeouts = Atomic.make 0
-  and quarantined = Atomic.make 0
-  and skipped = Atomic.make 0
-  and stuck_marks = Atomic.make 0 in
+  (* an entry runs on one domain per round and rounds are joined, so
+     [final], [errors] and [stuck] need no synchronisation; [stuck]
+     marks an entry at most once *)
+  let stuck = Array.make n false in
+  let retried = Atomic.make 0 and timeouts = Atomic.make 0 in
   let max_attempts = max 1 config.retry.Retry.max_attempts in
   let run_limit =
     Option.map
@@ -115,170 +111,89 @@ let run (type a b) ?(config = default_config)
     | None -> false
     | Some l -> Int64.compare (Deadline.now_ns ()) l >= 0
   in
-  let with_entry_deadline g =
+  let deadline_ms =
     match config.per_entry_deadline_ms with
-    | Some ms -> Deadline.with_deadline_ms ms g
-    | None -> Deadline.with_default_budget g
+    | Some _ as d -> d
+    | None -> Budget.default_deadline_ms ()
+  in
+  (* an attempt is "stuck" once it has run well past the cooperative
+     per-entry budget (double it, plus a second of grace), or 30 s when
+     no budget is installed at all *)
+  let stuck_ns =
+    let ms =
+      match deadline_ms with Some b -> (2 * b) + 1_000 | None -> 30_000
+    in
+    Int64.mul (Int64.of_int ms) 1_000_000L
   in
   let finalize i v =
     final.(i) <- Some v;
     match on_done with None -> () | Some cb -> cb ~key:(fst arr.(i)) v
   in
-  let workers =
-    let d =
-      match config.domains with
-      | Some d -> d
-      | None -> Domain_pool.default_domains ()
-    in
-    max 1 (min d n)
-  in
-  (* per-worker heartbeat: (item index, attempt start ns), (-1, _) when
-     idle. The watchdog only reads; each worker only writes its own. *)
-  let idle = (-1, 0L) in
-  let hb = Array.init workers (fun _ -> Atomic.make idle) in
-  let stop_watchdog = Atomic.make false in
-  let watchdog =
-    if config.watchdog_interval_ms <= 0 then None
+  let attempt_one attempt i =
+    let key, item = arr.(i) in
+    if run_expired () then
+      finalize i (Skipped "run deadline exceeded before this entry ran")
     else begin
-      (* a worker is "stuck" once busy on one attempt for well past the
-         cooperative per-entry budget (double it, plus a second of
-         grace), or 30 s when no budget is installed at all *)
-      let budget_ms =
-        match config.per_entry_deadline_ms with
-        | Some ms -> Some ms
-        | None -> (
-            match Deadline.get_default_ms () with 0 -> None | ms -> Some ms)
+      if attempt > 1 then begin
+        Atomic.incr retried;
+        config.sleep (Retry.delay_ms config.retry ~key ~attempt)
+      end;
+      let t0 = Deadline.now_ns () in
+      let res =
+        match
+          Trace.with_span ~cat:"supervisor"
+            ~args:[ ("key", key); ("attempt", string_of_int attempt) ]
+            "supervisor.attempt"
+            (fun () ->
+              fst (Budget.run ?deadline_ms (fun () -> f ~attempt ~key item)))
+        with
+        | r -> r
+        | exception e ->
+            Error { f_msg = Printexc.to_string e; f_timeout = false }
       in
-      let threshold_ns =
-        let ms =
-          match budget_ms with Some b -> (2 * b) + 1_000 | None -> 30_000
-        in
-        Int64.mul (Int64.of_int ms) 1_000_000L
-      in
-      let marked = Array.make n false in
-      Some
-        (Domain.spawn (fun () ->
-             while not (Atomic.get stop_watchdog) do
-               config.sleep (float_of_int config.watchdog_interval_ms);
-               let now = Deadline.now_ns () in
-               Array.iter
-                 (fun h ->
-                   let i, t0 = Atomic.get h in
-                   if
-                     i >= 0
-                     && (not marked.(i))
-                     && Int64.compare (Int64.sub now t0) threshold_ns > 0
-                   then begin
-                     marked.(i) <- true;
-                     Atomic.incr stuck_marks
-                   end)
-                 hb
-             done))
+      if Int64.compare (Int64.sub (Deadline.now_ns ()) t0) stuck_ns > 0 then
+        stuck.(i) <- true;
+      match res with
+      | Ok v -> finalize i (Done (v, attempt))
+      | Error fl ->
+          if fl.f_timeout then Atomic.incr timeouts;
+          errors.(i) <- fl.f_msg :: errors.(i);
+          if attempt >= max_attempts then
+            finalize i
+              (Quarantined { attempts = attempt; errors = List.rev errors.(i) })
+          (* otherwise: left pending for the next round *)
     end
   in
-  let run_round attempt idxs =
-    let m = Array.length idxs in
-    let next = Atomic.make 0 in
-    let worker slot () =
-      let rec loop () =
-        let j = Atomic.fetch_and_add next 1 in
-        if j < m then begin
-          let i = idxs.(j) in
-          let key, item = arr.(i) in
-          if run_expired () then begin
-            Atomic.incr skipped;
-            finalize i (Skipped "run deadline exceeded before this entry ran")
-          end
-          else begin
-            if attempt > 1 then begin
-              Atomic.incr retried;
-              config.sleep (Retry.delay_ms config.retry ~key ~attempt)
-            end;
-            Atomic.set hb.(slot) (i, Deadline.now_ns ());
-            let res =
-              match
-                Trace.with_span ~cat:"supervisor"
-                  ~args:[ ("key", key); ("attempt", string_of_int attempt) ]
-                  "supervisor.attempt"
-                  (fun () ->
-                    with_entry_deadline (fun () -> f ~attempt ~key item))
-              with
-              | r -> r
-              | exception e ->
-                  { f_msg = Printexc.to_string e; f_timeout = false }
-                  |> Result.error
-            in
-            Atomic.set hb.(slot) idle;
-            match res with
-            | Ok v -> finalize i (Done (v, attempt))
-            | Error fl ->
-                if fl.f_timeout then Atomic.incr timeouts;
-                errors.(i) <- fl.f_msg :: errors.(i);
-                if attempt >= max_attempts then begin
-                  Atomic.incr quarantined;
-                  finalize i
-                    (Quarantined
-                       { attempts = attempt; errors = List.rev errors.(i) })
-                end
-                (* otherwise: left pending for the next round *)
-          end;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let w = max 1 (min workers m) in
-    let spawned = Array.init (w - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-    worker 0 ();
-    Array.iter Domain.join spawned
+  let rec rounds attempt =
+    match List.filter (fun i -> final.(i) = None) (List.init n Fun.id) with
+    | [] -> ()
+    | idxs ->
+        (* [max_attempts] bounds the rounds: every still-pending item
+           either finalizes this round or has attempts left *)
+        assert (attempt <= max_attempts);
+        (* [attempt_one] captures [f]'s exceptions, so one escaping the
+           pool came from [on_done]; [map] re-raises it once every
+           domain has joined *)
+        ignore
+          (Domain_pool.map ?domains:config.domains ~f:(attempt_one attempt)
+             idxs);
+        rounds (attempt + 1)
   in
-  let pending () =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if final.(i) = None then acc := i :: !acc
-    done;
-    Array.of_list !acc
-  in
-  let attempt = ref 1 in
-  let rec rounds () =
-    let idxs = pending () in
-    if Array.length idxs > 0 then begin
-      (* [max_attempts] bounds the rounds: every still-pending item
-         either finalizes this round or has attempts left *)
-      assert (!attempt <= max_attempts);
-      run_round !attempt idxs;
-      incr attempt;
-      rounds ()
-    end
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set stop_watchdog true;
-      Option.iter Domain.join watchdog)
-    rounds;
+  rounds 1;
+  (* every index finalizes *)
   let results =
-    Array.to_list
-      (Array.mapi
-         (fun i (key, _) ->
-           match final.(i) with
-           | Some v -> (key, v)
-           | None -> assert false (* every index finalizes *))
-         arr)
+    List.mapi (fun i (key, _) -> (key, Option.get final.(i))) items
   in
-  let completed =
-    Array.fold_left
-      (fun acc -> function Some (Done _) -> acc + 1 | _ -> acc)
-      0 final
-  in
+  let count p = List.length (List.filter (fun (_, v) -> p v) results) in
   let stats =
     {
       total = n;
-      completed;
+      completed = count (function Done _ -> true | _ -> false);
       retried = Atomic.get retried;
       timeouts = Atomic.get timeouts;
-      quarantined = Atomic.get quarantined;
-      skipped = Atomic.get skipped;
-      stuck_marks = Atomic.get stuck_marks;
+      quarantined = count (function Quarantined _ -> true | _ -> false);
+      skipped = count (function Skipped _ -> true | _ -> false);
+      stuck_marks = List.length (List.filter Fun.id (Array.to_list stuck));
     }
   in
   if Metrics.enabled () then begin

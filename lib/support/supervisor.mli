@@ -1,9 +1,9 @@
-(** Corpus supervisor: deadline-governed, self-healing driver over a
-    worker fleet — per-entry wall-clock budgets ({!Deadline}), seeded
-    exponential-backoff retries ({!Retry}), quarantine after the
+(** Corpus supervisor: deadline-governed, self-healing driver over the
+    {!Domain_pool} — per-entry wall-clock budgets ({!Budget.run}),
+    seeded exponential-backoff retries ({!Retry}), quarantine after the
     attempt budget (circuit breaker), a whole-run deadline that skips
-    the remainder instead of over-running, and a watchdog domain
-    sampling per-worker heartbeats.
+    the remainder instead of over-running, and stuck marks for
+    attempts that complete far past their budget.
 
     Retries are round-based (round [k] runs attempt [k] of everything
     still pending), so verdicts are deterministic whenever the
@@ -14,21 +14,19 @@ type config = {
       (** worker-pool size (default {!Domain_pool.default_domains}) *)
   per_entry_deadline_ms : int option;
       (** wall-clock budget installed around each attempt
-          ({!Deadline.with_deadline_ms}); [None] falls back to
-          {!Deadline.with_default_budget} *)
+          ({!Budget.run}); [None] falls back to
+          {!Budget.default_deadline_ms} *)
   run_deadline_ms : int option;
       (** whole-run budget: items not started before it expires get a
           [Skipped] verdict, never silently dropped *)
   retry : Retry.policy;
-  watchdog_interval_ms : int;
-      (** heartbeat sampling period; [<= 0] disables the watchdog *)
   sleep : float -> unit;
       (** milliseconds; injectable so tests run without real delays *)
 }
 
 val default_config : config
 (** Pool-sized domains, no deadlines, {!Retry.default} (3 attempts),
-    50 ms watchdog sampling, [Unix.sleepf]. *)
+    [Unix.sleepf]. *)
 
 type failure = {
   f_msg : string;  (** printable cause *)
@@ -49,8 +47,10 @@ type stats = {
   quarantined : int;
   skipped : int;
   stuck_marks : int;
-      (** watchdog sightings of a worker busy past the grace window
-          (timing-dependent; diagnostics only) *)
+      (** entries with an attempt whose wall time exceeded twice the
+          per-entry budget plus 1 s (30 s with no budget), counted
+          when the attempt completes (timing-dependent; diagnostics
+          only) *)
 }
 
 val run :
@@ -64,5 +64,6 @@ val run :
     escaping [f] is captured as a non-timeout {!failure}. [on_done]
     fires exactly once per item, from the completing worker's domain,
     the moment its verdict is final (the checkpoint journal hooks in
-    here) — it must be domain-safe. Never raises (short of [f] or
-    [on_done] breaking the domain runtime). *)
+    here) — it must be domain-safe. An exception from [on_done] is
+    re-raised once the round's domains have joined; nothing else
+    escapes. *)

@@ -118,8 +118,8 @@ let ts_us ns = Printf.sprintf "%Ld.%03Ld" (Int64.div ns 1000L) (Int64.rem ns 100
 let add_event b (tid : int) (ev : event) =
   Printf.bprintf b
     "{\"name\":\"%a\",\"cat\":\"%a\",\"ph\":\"%c\",\"pid\":1,\"tid\":%d,\"ts\":%s"
-    Json.escape_into ev.ev_name Json.escape_into ev.ev_cat ev.ev_ph tid
-    (ts_us ev.ev_ts);
+    Json.escape_lossy_into ev.ev_name Json.escape_lossy_into ev.ev_cat ev.ev_ph
+    tid (ts_us ev.ev_ts);
   if ev.ev_ph = 'X' then Printf.bprintf b ",\"dur\":%s" (ts_us ev.ev_dur)
   else Buffer.add_string b ",\"s\":\"t\"";
   if ev.ev_args <> [] then begin
@@ -127,7 +127,8 @@ let add_event b (tid : int) (ev : event) =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b "\"%a\":\"%a\"" Json.escape_into k Json.escape_into v)
+        Printf.bprintf b "\"%a\":\"%a\"" Json.escape_lossy_into k
+          Json.escape_lossy_into v)
       ev.ev_args;
     Buffer.add_char b '}'
   end;

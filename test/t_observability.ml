@@ -268,6 +268,55 @@ let tracecat_escapes =
                 (Support.Json.Obj
                    (List.map (fun (k, v) -> (k, Support.Json.Str v)) args)))))
 
+let telemetry_invalid_utf8 =
+  case "telemetry writes invalid UTF-8 as U+FFFD and stays JSON" (fun () ->
+      let bad = "bad\255name\xC3.rs"
+      and repaired = "bad\u{FFFD}name\u{FFFD}.rs" in
+      let parses what text =
+        match Support.Json.parse_result text with
+        | Ok v -> v
+        | Error msg -> Alcotest.failf "%s is not JSON: %s" what msg
+      in
+      with_metrics (fun () ->
+          with_tracing (fun () ->
+              Support.Trace.reset ();
+              Support.Trace.with_span ~args:[ ("file", bad) ] "t_obs.utf8"
+                (fun () -> ());
+              let text = Support.Trace.export_chrome () in
+              (match Tracecat_lib.validate text with
+              | Ok _ -> ()
+              | Error msg -> Alcotest.fail ("tracecat rejected: " ^ msg));
+              let arg =
+                match parses "trace" text with
+                | Support.Json.List evs ->
+                    List.find_map
+                      (fun ev ->
+                        let name = Support.Json.str_member "name" ev in
+                        if name = Some "t_obs.utf8" then
+                          Option.bind (Support.Json.member "args" ev)
+                            (Support.Json.str_member "file")
+                        else None)
+                      evs
+                | _ -> None
+              in
+              Alcotest.(check (option string)) "trace arg" (Some repaired) arg);
+          Support.Flight.record ~fields:[ ("file", bad) ] "t_obs.utf8";
+          Alcotest.(check (option string))
+            "flight field" (Some repaired)
+            (String.split_on_char '\n' (Support.Flight.dump_jsonl ())
+            |> List.filter (( <> ) "")
+            |> List.find_map (fun l ->
+                   let ev = parses "flight line" l in
+                   if Support.Json.str_member "kind" ev = Some "t_obs.utf8" then
+                     Support.Json.str_member "file" ev
+                   else None));
+          let c =
+            Support.Metrics.counter ~labels:[ "file" ] ~help:"Test."
+              "t_obs_utf8_total"
+          in
+          Support.Metrics.incr c ~labels:[ bad ];
+          ignore (parses "metrics export" (Support.Metrics.export_json ()))))
+
 let tracecat_rejects =
   case "tracecat rejects malformed and overlapping traces" (fun () ->
       let invalid text =
@@ -411,6 +460,7 @@ let suite =
     findings_unchanged;
     tracecat_accepts;
     tracecat_escapes;
+    telemetry_invalid_utf8;
     tracecat_rejects;
     oracle_smoke;
     profile_aggregates;

@@ -245,6 +245,17 @@ let hygiene =
           render (Rustudy.check_result ~file entry.Rustudy.Corpus.source)
         in
         Alcotest.(check string) "byte-identical check" before after);
+    case "a sweep restores the caller's deadline and fuel scopes" (fun () ->
+        Rustudy.Deadline.with_deadline_ms 60_000 (fun () ->
+            Rustudy.Fuel.with_domain_budget 5_000 (fun () ->
+                let outer = Rustudy.Deadline.current () in
+                ignore (Rustudy.Oracle_eval.run ~domains:1 ());
+                Alcotest.(check bool)
+                  "deadline still in place" true
+                  (Rustudy.Deadline.current () = outer);
+                Alcotest.(check (option int))
+                  "fuel override still in place" (Some 5_000)
+                  (Rustudy.Fuel.domain_budget ()))));
   ]
 
 (* ---------------- the differential harness -------------------------- *)

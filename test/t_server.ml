@@ -307,6 +307,23 @@ let budget_cases =
         Alcotest.(check bool)
           "timeout counted" true
           ((Daemon.stats d).Daemon.timeouts >= 1));
+    case "a deadline-exhausted study degrades and counts one timeout"
+      (fun () ->
+        (* the study's oracle sweep runs inside the request's deadline
+           scope and must leave it in place for the timeout check *)
+        with_server ~tune:(fun c -> { c with Daemon.workers = 1 }) @@ fun d ->
+        Support.Flight.reset ();
+        let resp = rpc_once d (Client.study ~id:1 ~deadline_ms:0 ()) in
+        Alcotest.(check string) "status" "degraded" (status resp);
+        Alcotest.(check int) "one timeout" 1 (Daemon.stats d).Daemon.timeouts;
+        Alcotest.(check bool)
+          "req.deadline_hit recorded" true
+          (List.exists
+             (fun l ->
+               Sjson.str_member "kind" (Sjson.parse l)
+               = Some "req.deadline_hit")
+             (String.split_on_char '\n' (Support.Flight.dump_jsonl ())
+             |> List.filter (( <> ) ""))));
     case "fuel-exhausted request degrades with W0401" (fun () ->
         with_server @@ fun d ->
         let resp =

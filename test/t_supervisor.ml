@@ -1,11 +1,12 @@
 (* Supervision layer: wall-clock deadlines, seeded retry backoff, the
    checkpoint journal, checkpoint/resume byte-identity, and the
    deadline -> retry -> quarantine ladder. Wall-clock is kept tight:
-   backoff sleeps are injected away, the watchdog is off, and
-   deadlines are either 0 (instant, deterministic) or generous enough
-   to never be waited out. *)
+   backoff sleeps are injected away, and deadlines are either 0
+   (instant, deterministic) or generous enough to never be waited
+   out; one stuck-mark case sleeps just past its 1 s threshold. *)
 
 module Deadline = Rustudy.Deadline
+module Budget = Rustudy.Budget
 module Retry = Rustudy.Retry
 module Journal = Rustudy.Journal
 module Supervisor = Rustudy.Supervisor
@@ -17,13 +18,12 @@ let rec take n = function
   | x :: tl when n > 0 -> x :: take (n - 1) tl
   | _ -> []
 
-(* No real sleeps, no watchdog: every test below is deterministic and
-   fast regardless of machine load. *)
+(* No real backoff sleeps, so retries cost no wall-clock time and the
+   tests stay deterministic regardless of machine load. *)
 let quiet =
   {
     Supervisor.default_config with
-    Supervisor.watchdog_interval_ms = 0;
-    sleep = (fun (_ : float) -> ());
+    Supervisor.sleep = (fun (_ : float) -> ());
   }
 
 (* ---------------- deadlines ----------------------------------------- *)
@@ -82,6 +82,60 @@ let deadline =
         Alcotest.(check bool)
           "no deadline after the scope" true
           (Deadline.current () = None));
+  ]
+
+(* ---------------- budgeted attempts --------------------------------- *)
+
+let budget =
+  [
+    case "Budget.run restores an outer deadline and fuel, also on a raise"
+      (fun () ->
+        Deadline.with_deadline_ms 60_000 (fun () ->
+            Rustudy.Fuel.with_domain_budget 5_000 (fun () ->
+                let outer = Deadline.current () in
+                let check what =
+                  Alcotest.(check bool)
+                    (what ^ ": deadline restored")
+                    true
+                    (Deadline.current () = outer);
+                  Alcotest.(check (option int))
+                    (what ^ ": fuel restored")
+                    (Some 5_000)
+                    (Rustudy.Fuel.domain_budget ())
+                in
+                let v, expired =
+                  Budget.run ~deadline_ms:30_000 ~fuel:7 (fun () ->
+                      Alcotest.(check bool)
+                        "tighter deadline installed" true
+                        (Deadline.current () <> outer);
+                      Alcotest.(check int)
+                        "fuel installed" 7
+                        (Rustudy.Fuel.effective ());
+                      42)
+                in
+                Alcotest.(check (pair int bool)) "value" (42, false)
+                  (v, expired);
+                check "after a return";
+                (match
+                   Budget.run ~deadline_ms:0 ~fuel:1 (fun () -> failwith "boom")
+                 with
+                | _ -> Alcotest.fail "the raise was swallowed"
+                | exception Failure _ -> ());
+                check "after a raise")));
+    case "a 0 ms Budget.run reports expired; no budget installs nothing"
+      (fun () ->
+        let (), expired = Budget.run ~deadline_ms:0 (fun () -> ()) in
+        Alcotest.(check bool) "expired" true expired;
+        let (), expired =
+          Budget.run (fun () ->
+              Alcotest.(check bool)
+                "no deadline" true
+                (Deadline.current () = None);
+              Alcotest.(check bool)
+                "no fuel override" true
+                (Rustudy.Fuel.domain_budget () = None))
+        in
+        Alcotest.(check bool) "not expired" false expired);
   ]
 
 (* ---------------- fuel CAS restore ---------------------------------- *)
@@ -344,6 +398,55 @@ let supervisor =
             | Supervisor.Skipped _ -> ()
             | _ -> Alcotest.failf "%s not skipped" k)
           verdicts);
+    case "verdicts and stats do not depend on the pool size" (fun () ->
+        (* keys cycle through always-ok, ok-on-attempt-2, always
+           timing out and always failing *)
+        let f ~attempt ~key (i : int) =
+          match i mod 4 with
+          | 0 -> Ok (i, attempt)
+          | 1 when attempt >= 2 -> Ok (i, attempt)
+          | c ->
+              Error
+                {
+                  Supervisor.f_msg = Printf.sprintf "%s/%d" key attempt;
+                  f_timeout = c = 2;
+                }
+        in
+        let items = List.init 23 (fun i -> (Printf.sprintf "k%02d" i, i)) in
+        let sweep domains =
+          let verdicts, stats =
+            Supervisor.run
+              ~config:{ quiet with Supervisor.domains = Some domains }
+              ~f items
+          in
+          (verdicts, { stats with Supervisor.stuck_marks = 0 })
+        in
+        let v1, s1 = sweep 1 and v4, s4 = sweep 4 in
+        Alcotest.(check bool) "verdicts identical" true (v1 = v4);
+        Alcotest.(check bool) "stats identical" true (s1 = s4);
+        Alcotest.(check int) "completed" 12 s1.Supervisor.completed;
+        Alcotest.(check int) "quarantined" 11 s1.Supervisor.quarantined;
+        Alcotest.(check int) "timeouts" 18 s1.Supervisor.timeouts);
+    case "a stuck attempt is marked once per entry, when it completes"
+      (fun () ->
+        (* with a 0 ms budget the stuck threshold is 1 s: "slow" overstays
+           it on both attempts but is marked once; "fast" never is *)
+        let config =
+          {
+            quiet with
+            Supervisor.per_entry_deadline_ms = Some 0;
+            retry = { Retry.default with Retry.max_attempts = 2 };
+          }
+        in
+        let _, stats =
+          Supervisor.run ~config
+            ~f:(fun ~attempt:_ ~key () ->
+              if key = "slow" then Unix.sleepf 1.05;
+              Error { Supervisor.f_msg = key; f_timeout = true })
+            [ ("slow", ()); ("fast", ()) ]
+        in
+        Alcotest.(check int) "stuck marks" 1 stats.Supervisor.stuck_marks;
+        Alcotest.(check int) "quarantined" 2 stats.Supervisor.quarantined);
     case "on_done fires exactly once per item" (fun () ->
         let seen = ref [] in
         let _ =
@@ -483,5 +586,5 @@ let resume =
   ]
 
 let suite =
-  deadline @ fuel @ retry @ journal @ golden_codes @ supervisor @ ladder
-  @ resume
+  deadline @ budget @ fuel @ retry @ journal @ golden_codes @ supervisor
+  @ ladder @ resume
